@@ -99,8 +99,8 @@ def encode_array(array: np.ndarray) -> Dict[str, Any]:
         "shape": list(contiguous.shape),
     }
     if contiguous.dtype == np.bool_:
-        # One bit per flag instead of one byte: the Verlet-skin
-        # mirror-absent mask is a large per-pair bool array.
+        # One bit per flag instead of one byte (per-pair masks are
+        # as long as the neighbor list).
         payload["store_dtype"] = "packbits"
         stored = np.packbits(contiguous.reshape(-1))
     else:

@@ -15,7 +15,6 @@ from .neighbors import (
     pair_displacements,
     symmetric_pairs,
 )
-from .neighbors_cell import find_neighbors_cell_list
 from .io import CheckpointMeta, load_checkpoint, save_checkpoint
 from .numeric import NumericProblem
 from .particles import DERIVED_FIELDS, PRIMARY_FIELDS, ParticleSet
@@ -57,7 +56,6 @@ __all__ = [
     "NeighborList",
     "find_neighbors",
     "find_neighbors_bruteforce",
-    "find_neighbors_cell_list",
     "pair_displacements",
     "symmetric_pairs",
     "CheckpointMeta",

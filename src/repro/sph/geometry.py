@@ -30,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from .kernels_math import SmoothingKernel
 from .neighbors import NeighborList, mirror_missing
 from .particles import ParticleSet
 
@@ -95,6 +96,8 @@ class StepGeometry:
         self._sym_order: Optional[np.ndarray] = None
         self._sym_has: Optional[np.ndarray] = None
         self._sym_starts: Optional[np.ndarray] = None
+        self._w: Optional[np.ndarray] = None
+        self._w_kernel: Optional[SmoothingKernel] = None
 
     # -- construction -------------------------------------------------------
 
@@ -105,7 +108,6 @@ class StepGeometry:
         nlist: NeighborList,
         box_size: Optional[float] = None,
         support_radius: Optional[float] = None,
-        mirror_absent: Optional[np.ndarray] = None,
     ) -> "StepGeometry":
         """Compute the pair geometry from a CSR neighbor list.
 
@@ -114,13 +116,6 @@ class StepGeometry:
         ``r <= support_radius * h_i`` support; the returned geometry
         carries a correspondingly masked ``nlist``. Without it the list
         is taken at face value (the classic one-search-per-step path).
-
-        ``mirror_absent`` is the per-pair mask of ``nlist`` pairs whose
-        mirror is absent from ``nlist`` (see
-        :func:`repro.sph.neighbors.mirror_missing`). It only depends on
-        the pair *set*, so callers reusing a wide Verlet list can
-        compute it once per tree rebuild and the per-step symmetric
-        closure becomes pure masking instead of an O(m log m) scan.
         """
         n = nlist.n
         i_idx = np.repeat(np.arange(n, dtype=np.int64), nlist.counts())
@@ -134,7 +129,7 @@ class StepGeometry:
             dz -= box_size * np.round(dz / box_size)
         r2 = dx * dx + dy * dy + dz * dz
 
-        sym_missing = mirror_absent
+        sym_missing = None
         if support_radius is not None:
             # Mask wide-list pairs back to the true kernel support
             # (squared comparison: the sqrt only runs on kept pairs).
@@ -144,15 +139,14 @@ class StepGeometry:
             if not np.all(keep):
                 i_idx, j_idx = i_idx[keep], j_idx[keep]
                 dx, dy, dz, r2 = dx[keep], dy[keep], dz[keep], r2[keep]
-                if mirror_absent is not None:
-                    sym_missing = mirror_absent[keep]
-            if sym_missing is not None:
-                # The mirror of a kept pair (i, j) survives the mask
-                # exactly when it was in the wide list and j still has
-                # i inside its own support (r is symmetric).
-                sym_missing = sym_missing | (
-                    r2 > (support_radius * particles.h[j_idx]) ** 2
-                )
+            # The mirror (j, i) of a kept pair survives the mask exactly
+            # when r <= support * h_j. r is exactly symmetric (the
+            # displacement is an IEEE negation and np.round is
+            # symmetric), and every such mirror is in the wide list:
+            # its (support + skin) * h_j search radius leaves a margin
+            # far above the round-off between cKDTree's distance and
+            # this one. So no pair-set scan is needed.
+            sym_missing = r2 > (support_radius * particles.h[j_idx]) ** 2
             counts = np.bincount(i_idx, minlength=n).astype(np.int64)
             offsets = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(counts, out=offsets[1:])
@@ -195,6 +189,18 @@ class StepGeometry:
     def r(self) -> np.ndarray:
         return self.pairs.r
 
+    def kernel_value(self, kernel: SmoothingKernel) -> np.ndarray:
+        """Gather-side ``W(r, h_i)`` over :attr:`pairs` (cached).
+
+        XMass and IADVelocityDivCurl both weight their sums with this
+        array; the geometry is a per-step snapshot (``h`` does not
+        change between them), so it is evaluated once per step.
+        """
+        if self._w_kernel is not kernel:
+            self._w = kernel.value(self.r, self.particles.h[self.i_idx])
+            self._w_kernel = kernel
+        return self._w
+
     # -- symmetric closure --------------------------------------------------
 
     def symmetric(self) -> PairTable:
@@ -202,11 +208,13 @@ class StepGeometry:
 
         With adaptive smoothing lengths the gather lists are
         asymmetric; momentum-conserving sums need every pair in both
-        directions. The closure (a lexsort + binary-search mirror test,
-        see :func:`repro.sph.neighbors.mirror_missing`) runs at most
-        once per neighbor-geometry build — MomentumEnergy and the
-        Timestep signal-velocity sweep share the result, where they
-        previously each re-derived it every call.
+        directions. On a masked Verlet-skin list the missing mirrors
+        are read off the distances at build time; otherwise a lexsort +
+        binary-search mirror test (see
+        :func:`repro.sph.neighbors.mirror_missing`) finds them. Either
+        way the closure is built at most once per neighbor-geometry
+        build — MomentumEnergy and the Timestep signal-velocity sweep
+        share the result.
         """
         if self._sym is None:
             p = self.pairs

@@ -11,6 +11,7 @@ tell the difference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -26,7 +27,7 @@ from .cornerstone import (
 from .eos import IdealGasEOS
 from .geometry import StepGeometry
 from .kernels_math import SmoothingKernel, default_kernel
-from .neighbors import NeighborList, find_neighbors, mirror_missing
+from .neighbors import NeighborList, find_neighbors
 from .particles import ParticleSet
 from .physics import (
     ArtificialViscosity,
@@ -48,6 +49,12 @@ EXCHANGE_BYTES_PER_PARTICLE = 9 * 8
 #: Wire bytes per halo particle (position, h, m, rho, p, v, u...).
 HALO_BYTES_PER_PARTICLE = 11 * 8
 
+#: Smallest positive Verlet skin (units of h). A pair kept by the
+#: support mask has its mirror in the wide list because the wide search
+#: radius exceeds the support by ``skin * h``; that margin must stay far
+#: above the round-off between cKDTree's distances and NumPy's.
+MIN_SKIN = 1e-9
+
 
 @dataclass
 class NumericProblem:
@@ -61,7 +68,9 @@ class NumericProblem:
     the wide list back to ``r <= support_radius * h_i``, so the physics
     sees exactly the pairs a fresh search would produce. ``skin`` is
     dimensionless (units of ``h``); ``0.0`` — the default — rebuilds
-    every step, ``0.1`` is a sane choice for production runs.
+    every step, ``0.1`` is a sane choice for production runs. NaN,
+    infinite, negative and positive values below :data:`MIN_SKIN` raise
+    ``ValueError``.
     """
 
     particles: ParticleSet
@@ -93,11 +102,26 @@ class NumericProblem:
     _gravity_acc: Optional[np.ndarray] = None
     _previous_ranks: Optional[np.ndarray] = None
     _wide_nlist: Optional[NeighborList] = None
-    _wide_mirror_absent: Optional[np.ndarray] = None
     _rebuild_x: Optional[np.ndarray] = None
     _rebuild_y: Optional[np.ndarray] = None
     _rebuild_z: Optional[np.ndarray] = None
     _rebuild_h: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        skin = float(self.skin)
+        if not (math.isfinite(skin) and skin >= 0.0):
+            raise ValueError(
+                f"skin must be a finite width >= 0 in units of h, "
+                f"got {self.skin!r}"
+            )
+        if 0.0 < skin < MIN_SKIN:
+            raise ValueError(
+                f"skin {skin!r} is below the floor {MIN_SKIN}: the "
+                f"Verlet-skin step derives mirror pairs from distances "
+                f"and needs the skin margin to dwarf distance round-off; "
+                f"use 0 to search every step"
+            )
+        self.skin = skin
 
     # ------------------------------------------------------------------
     # Step functions (called by the Simulation in loop order)
@@ -153,19 +177,10 @@ class NumericProblem:
         support = self.kernel.support_radius
         if self.skin > 0.0:
             if self._wide_nlist is None or self._needs_rebuild():
-                wide = find_neighbors(
+                self._wide_nlist = find_neighbors(
                     p,
                     support_radius=support + self.skin,
                     box_size=self.box_size,
-                )
-                self._wide_nlist = wide
-                # The mirror-membership scan depends only on the pair
-                # set, so it too is amortized over the list's lifetime.
-                wide_i = np.repeat(
-                    np.arange(wide.n, dtype=np.int64), wide.counts()
-                )
-                self._wide_mirror_absent = mirror_missing(
-                    wide_i, wide.neighbors
                 )
                 self._rebuild_x = np.copy(p.x)
                 self._rebuild_y = np.copy(p.y)
@@ -179,7 +194,6 @@ class NumericProblem:
                 self._wide_nlist,
                 box_size=self.box_size,
                 support_radius=support,
-                mirror_absent=self._wide_mirror_absent,
             )
         else:
             self._wide_nlist = find_neighbors(
@@ -336,7 +350,6 @@ class NumericProblem:
             "previous_ranks": self._previous_ranks,
             "wide_neighbors": None if wide is None else wide.neighbors,
             "wide_offsets": None if wide is None else wide.offsets,
-            "wide_mirror_absent": self._wide_mirror_absent,
             "rebuild_x": self._rebuild_x,
             "rebuild_y": self._rebuild_y,
             "rebuild_z": self._rebuild_z,
@@ -344,6 +357,11 @@ class NumericProblem:
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
+        """Inverse of :meth:`state_dict`.
+
+        Older checkpoints also carry a ``wide_mirror_absent`` mask; the
+        step geometry now derives it from distances, so it is ignored.
+        """
         self.particles = ParticleSet.from_state(state["particles"])
         self.rank_of_particle = state["rank_of_particle"]
         self.dt = float(state["dt"])
@@ -363,7 +381,6 @@ class NumericProblem:
                 neighbors=state["wide_neighbors"],
                 offsets=state["wide_offsets"],
             )
-        self._wide_mirror_absent = state["wide_mirror_absent"]
         self._rebuild_x = state["rebuild_x"]
         self._rebuild_y = state["rebuild_y"]
         self._rebuild_z = state["rebuild_z"]

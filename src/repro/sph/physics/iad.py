@@ -95,7 +95,7 @@ def compute_iad_divv_curlv(
     i_idx, j_idx = geom.i_idx, geom.j_idx
     # Note the geometry stores d = r_i - r_j; IAD wants r_j - r_i.
     dx, dy, dz = -geom.dx, -geom.dy, -geom.dz
-    w = kernel.value(geom.r, particles.h[i_idx])
+    w = geom.kernel_value(kernel)
     vol_j = (particles.xm / particles.kx)[j_idx]
     ww = vol_j * w
 

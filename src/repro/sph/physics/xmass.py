@@ -44,7 +44,7 @@ def compute_xmass(
     geom = geometry if geometry is not None else StepGeometry.build(
         particles, nlist, box_size
     )
-    w = kernel.value(geom.r, particles.h[geom.i_idx])
+    w = geom.kernel_value(kernel)
     contrib = particles.xm[geom.j_idx] * w
     kx = scatter_sum(geom.i_idx, contrib, particles.n)
     # Self contribution W(0, h_i) * xm_i.

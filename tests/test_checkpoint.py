@@ -21,6 +21,7 @@ from repro.checkpoint import (
 )
 from repro.sph import NumericProblem, Simulation, run_instrumented
 from repro.sph.init import SedovConfig, make_sedov, make_sedov_eos
+from repro.sph.neighbors import mirror_missing
 from repro.systems import Cluster, mini_hpc
 
 
@@ -248,6 +249,34 @@ def test_numeric_resume_is_bit_exact_with_verlet_skin(tmp_path):
     with pytest.raises(_Killed):
         killed.run(6, checkpoint_every=3, checkpoint_path=ckpt,
                    on_step=kill)
+
+    resumed = _numeric_sim()
+    res = resumed.run(6, restore_from=ckpt)
+    assert res.resumed_from_step == 3
+    assert res.gpu_energy_j == ref_res.gpu_energy_j
+    assert _digest(resumed) == _digest(ref)
+
+
+def test_legacy_mirror_mask_checkpoint_resumes_bit_exact(tmp_path):
+    """Checkpoints from before the mirror mask was derived from
+    distances carry a ``wide_mirror_absent`` key; restore ignores it
+    and the resumed run still matches the uninterrupted one."""
+    ref = _numeric_sim()
+    ref_res = ref.run(6)
+
+    ckpt = str(tmp_path / "c.json")
+    killed = _numeric_sim()
+    killed.run(3, checkpoint_every=3, checkpoint_path=ckpt)
+    state = read_checkpoint(ckpt)
+    assert state["schema"] == CHECKPOINT_SCHEMA == 1
+    numeric = state["numeric"]
+    assert "wide_mirror_absent" not in numeric
+    offsets = numeric["wide_offsets"]
+    wide_i = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    numeric["wide_mirror_absent"] = mirror_missing(
+        wide_i, numeric["wide_neighbors"]
+    )
+    write_checkpoint(ckpt, state)
 
     resumed = _numeric_sim()
     res = resumed.run(6, restore_from=ckpt)

@@ -23,7 +23,8 @@ from repro.sph.init import (
     make_turbulence,
     make_turbulence_eos,
 )
-from repro.sph.kernels_math import default_kernel
+from repro.sph.kernels_math import WendlandC6Kernel, default_kernel
+from repro.sph.numeric import MIN_SKIN
 from repro.sph.neighbors import (
     mirror_missing,
     pairs_member_mask,
@@ -231,22 +232,135 @@ class TestVerletReuse:
             assert set(masked.of(i)) == set(fresh.of(i))
 
 
-class TestSymmetricPairsRegression:
-    def _asymmetric_particles(self, n=300, seed=9):
-        rng = np.random.default_rng(seed)
-        p = ParticleSet.zeros(n)
-        p.x[:] = rng.random(n)
-        p.y[:] = rng.random(n)
-        p.z[:] = rng.random(n)
-        p.m[:] = 1.0 / n
-        # Strongly asymmetric smoothing lengths: many pairs where j is
-        # inside 2 h_i but i is outside 2 h_j.
-        p.h[:] = 0.06 * (1.0 + 2.0 * rng.random(n))
-        p.u[:] = 1.0
-        return p
+def _random_asymmetric(n=300, seed=9):
+    rng = np.random.default_rng(seed)
+    p = ParticleSet.zeros(n)
+    p.x[:] = rng.random(n)
+    p.y[:] = rng.random(n)
+    p.z[:] = rng.random(n)
+    p.m[:] = 1.0 / n
+    # Strongly asymmetric smoothing lengths: many pairs where j is
+    # inside 2 h_i but i is outside 2 h_j.
+    p.h[:] = 0.06 * (1.0 + 2.0 * rng.random(n))
+    p.u[:] = 1.0
+    return p
 
+
+def _inputs(kind, seed):
+    """Seeded particles, EOS and box for the geometry property tests."""
+    if kind == "sedov":
+        cfg = SedovConfig(nside=8, seed=seed)
+        return make_sedov(cfg), make_sedov_eos(cfg), cfg.box_size
+    if kind == "turbulence":
+        cfg = TurbulenceConfig(nside=8, mach_rms=0.3, seed=seed)
+        return make_turbulence(cfg), make_turbulence_eos(cfg), cfg.box_size
+    box = 1.0 if kind == "random-periodic" else None
+    return _random_asymmetric(seed=seed), IdealGasEOS(), box
+
+
+class _CountingKernel(WendlandC6Kernel):
+    def __init__(self):
+        self.value_calls = 0
+
+    def value(self, r, h):
+        self.value_calls += 1
+        return super().value(r, h)
+
+
+class TestDistanceDerivedGeometry:
+    """The skin>0 geometry reads mirror pairs off distances and caches
+    the gather-side kernel value; both must match the direct scans."""
+
+    @staticmethod
+    def _check(problem):
+        geom, kernel = problem.geometry, problem.kernel
+        assert np.array_equal(
+            geom._sym_missing, mirror_missing(geom.i_idx, geom.j_idx)
+        )
+        w = geom.kernel_value(kernel)
+        assert geom.kernel_value(kernel) is w
+        h_i = problem.particles.h[geom.i_idx]
+        assert np.array_equal(w, kernel.value(geom.r, h_i))
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    @pytest.mark.parametrize("skin", [0.05, 0.1, 0.5])
+    @pytest.mark.parametrize(
+        "kind", ["sedov", "turbulence", "random-periodic", "random-open"]
+    )
+    def test_matches_mirror_scan_and_kernel(self, kind, skin, seed):
+        particles, eos, box = _inputs(kind, seed)
+        problem = NumericProblem(
+            particles=particles, n_ranks=1, eos=eos, box_size=box, skin=skin
+        )
+        problem.find_neighbors()
+        self._check(problem)
+        # Drift positions and smoothing lengths inside the skin budget
+        # (2 max|dx| + 2 max dh <= skin * min h) so the wide list from
+        # the rebuild is reused at new distances and asymmetric h.
+        rng = np.random.default_rng(seed)
+        p = problem.particles
+        budget = skin * float(np.min(p.h))
+        step = 0.24 * budget / np.sqrt(3.0)
+        for arr in (p.x, p.y, p.z):
+            arr += rng.uniform(-step, step, p.n)
+            if box is not None:
+                arr %= box
+        p.h += rng.uniform(-0.24 * budget, 0.24 * budget, p.n)
+        problem.find_neighbors()
+        assert (problem.neighbor_rebuilds, problem.neighbor_reuses) == (1, 1)
+        self._check(problem)
+
+    def test_asymmetry_is_exercised(self):
+        particles, eos, box = _inputs("random-periodic", 9)
+        problem = NumericProblem(
+            particles=particles, n_ranks=1, eos=eos, box_size=box, skin=0.1
+        )
+        problem.find_neighbors()
+        assert np.any(problem.geometry._sym_missing)
+
+    def test_xmass_and_iad_share_one_kernel_evaluation(self):
+        cfg = SedovConfig(nside=6, seed=5)
+        kernel = _CountingKernel()
+        problem = NumericProblem(
+            particles=make_sedov(cfg), n_ranks=1, kernel=kernel,
+            eos=make_sedov_eos(cfg), box_size=cfg.box_size, skin=0.1,
+        )
+        problem.find_neighbors()
+        problem.xmass()
+        problem.normalization_gradh()
+        problem.equation_of_state()
+        problem.iad_velocity_div_curl()
+        assert kernel.value_calls == 1
+
+
+class TestSkinValidation:
+    def _problem(self, skin):
+        cfg = SedovConfig(nside=4, seed=5)
+        return NumericProblem(
+            particles=make_sedov(cfg), n_ranks=1, box_size=cfg.box_size,
+            skin=skin,
+        )
+
+    @pytest.mark.parametrize(
+        "skin", [float("nan"), -0.1, -1e-12, float("inf"), float("-inf")]
+    )
+    def test_rejects_non_finite_and_negative(self, skin):
+        with pytest.raises(ValueError, match="finite width >= 0"):
+            self._problem(skin)
+
+    @pytest.mark.parametrize("skin", [1e-300, 1e-12, 0.5e-9])
+    def test_rejects_positive_below_floor(self, skin):
+        with pytest.raises(ValueError, match="below the floor"):
+            self._problem(skin)
+
+    @pytest.mark.parametrize("skin", [0, 0.0, MIN_SKIN, 0.1, 2])
+    def test_accepts_zero_and_floor_and_above(self, skin):
+        assert self._problem(skin).skin == float(skin)
+
+
+class TestSymmetricPairsRegression:
     def test_matches_bruteforce_closure(self):
-        p = self._asymmetric_particles()
+        p = _random_asymmetric()
         nlist = find_neighbors(p, support_radius=2.0, box_size=1.0)
         directed = {
             (i, j) for i in range(nlist.n) for j in nlist.of(i)
