@@ -209,15 +209,16 @@ class NumericProblem:
     def _needs_rebuild(self) -> bool:
         """Conservative Verlet-skin invalidation test.
 
-        A pair (i, j) inside the true support now was inside the wide
-        search radius at rebuild time as long as
+        With ``R`` the kernel's support radius, a pair (i, j) inside
+        the true support now (``r <= R h_i``) was inside the wide
+        search radius ``(R + skin) h_i^reb`` at rebuild time as long as
 
-            2 max(0, h_i - h_i^reb) + |dx_i| + |dx_j|
+            R max(0, h_i - h_i^reb) + |dx_i| + |dx_j|
                 <= skin * h_i^reb,
 
         so the wide list is provably complete while
 
-            2 max|dx| + 2 max(0, dh) <= skin * min(h^reb).
+            2 max|dx| + R max(0, dh) <= skin * min(h^reb).
         """
         p = self.particles
         dx = p.x - self._rebuild_x
@@ -230,7 +231,8 @@ class NumericProblem:
         max_disp = float(np.sqrt(np.max(dx * dx + dy * dy + dz * dz)))
         max_h_growth = float(np.max(p.h - self._rebuild_h, initial=0.0))
         budget = self.skin * float(np.min(self._rebuild_h))
-        return 2.0 * max_disp + 2.0 * max(max_h_growth, 0.0) > budget
+        growth = self.kernel.support_radius * max(max_h_growth, 0.0)
+        return 2.0 * max_disp + growth > budget
 
     def xmass(self) -> None:
         self._require_nlist()

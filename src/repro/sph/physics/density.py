@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..geometry import StepGeometry, scatter_sum
+from ..geometry import StepGeometry, run_blocks, scatter_sum
 from ..kernels_math import SmoothingKernel
 from ..neighbors import NeighborList
 from ..particles import ParticleSet
@@ -41,9 +41,17 @@ def compute_density_gradh(
     geom = geometry if geometry is not None else StepGeometry.build(
         particles, nlist, box_size
     )
-    i_idx, j_idx = geom.i_idx, geom.j_idx
-    dwdh = kernel.grad_h(geom.r, particles.h[i_idx])
-    sum_dwdh = scatter_sum(i_idx, particles.m[j_idx] * dwdh, particles.n)
+    i_idx, j_idx, r = geom.i_idx, geom.j_idx, geom.r
+    h, m = particles.h, particles.m
+    sum_dwdh = np.empty(particles.n)
+
+    def block(a: int, b: int, s: int, e: int) -> None:
+        dwdh = kernel.grad_h(r[s:e], h[i_idx[s:e]])
+        sum_dwdh[a:b] = scatter_sum(
+            i_idx[s:e] - a, m[j_idx[s:e]] * dwdh, b - a
+        )
+
+    run_blocks(block, geom.blocks)
     # Self term: dW/dh at r=0 is -3 sigma w(0) / h^4.
     sum_dwdh += particles.m * (
         -3.0 * kernel.self_value(particles.h) / particles.h

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..geometry import StepGeometry, scatter_sum
+from ..geometry import StepGeometry, pair_blocks, run_blocks, scatter_sum
 from ..kernels_math import SmoothingKernel
 from ..neighbors import NeighborList
 from ..particles import ParticleSet
@@ -85,64 +85,75 @@ def compute_momentum_energy(
     )
     und = geom.undirected()
     i_idx, j_idx = und.i_idx, und.j_idx
-    dx, dy, dz, r = und.dx, und.dy, und.dz, und.r
-    h_i = particles.h[i_idx]
-    h_j = particles.h[j_idx]
-
-    # Kernel gradients at both smoothing lengths; dW/dr < 0, direction
-    # d/r with d = r_i - r_j so gradW points from j toward i.
-    grad_i = kernel.grad_r(r, h_i) / r
-    grad_j = kernel.grad_r(r, h_j) / r
-    grad_bar = 0.5 * (grad_i + grad_j)
-
-    rho_i = particles.rho[i_idx]
-    rho_j = particles.rho[j_idx]
+    h, rho, c, m = particles.h, particles.rho, particles.c, particles.m
+    vx, vy, vz = particles.vx, particles.vy, particles.vz
     p_over = particles.p / (particles.gradh * particles.rho**2)
-    pi_term = p_over[i_idx]
-    pj_term = p_over[j_idx]
-
-    dvx = particles.vx[i_idx] - particles.vx[j_idx]
-    dvy = particles.vy[i_idx] - particles.vy[j_idx]
-    dvz = particles.vz[i_idx] - particles.vz[j_idx]
-    v_dot_r = dvx * dx + dvy * dy + dvz * dz
-
-    # Artificial viscosity (active on approaching pairs only).
-    h_bar = 0.5 * (h_i + h_j)
-    rho_bar = 0.5 * (rho_i + rho_j)
-    c_bar = 0.5 * (particles.c[i_idx] + particles.c[j_idx])
-    mu = h_bar * v_dot_r / (r * r + av.epsilon * h_bar * h_bar)
-    mu = np.where(v_dot_r < 0.0, mu, 0.0)
     balsara = av.balsara_factor(particles)
-    f_bar = 0.5 * (balsara[i_idx] + balsara[j_idx])
-    visc = f_bar * (-av.alpha * c_bar * mu + av.beta * mu * mu) / rho_bar
+    # Per-pair scatter weights (i side, j side) for ax, ay, az, du.
+    fx_i, fx_j, fy_i, fy_j, fz_i, fz_j, du_i, du_j = (
+        np.empty(und.m) for _ in range(8)
+    )
 
-    m_i = particles.m[i_idx]
-    m_j = particles.m[j_idx]
-    # Symmetric pair force coefficient: the mirrored pair (j, i) has
-    # the same s with displacement -d, so i gets -m_j s d and j gets
-    # +m_i s d — exact action/reaction per pair.
-    s = pi_term * grad_i + pj_term * grad_j + visc * grad_bar
+    def block(s: int, e: int) -> None:
+        i, j = i_idx[s:e], j_idx[s:e]
+        dx, dy, dz, r = und.dx[s:e], und.dy[s:e], und.dz[s:e], und.r[s:e]
+        h_i = h[i]
+        h_j = h[j]
 
+        # Kernel gradients at both smoothing lengths; dW/dr < 0,
+        # direction d/r with d = r_i - r_j so gradW points from j
+        # toward i.
+        grad_i = kernel.grad_r(r, h_i) / r
+        grad_j = kernel.grad_r(r, h_j) / r
+        grad_bar = 0.5 * (grad_i + grad_j)
+
+        rho_i = rho[i]
+        rho_j = rho[j]
+        pi_term = p_over[i]
+        pj_term = p_over[j]
+
+        dvx = vx[i] - vx[j]
+        dvy = vy[i] - vy[j]
+        dvz = vz[i] - vz[j]
+        v_dot_r = dvx * dx + dvy * dy + dvz * dz
+
+        # Artificial viscosity (active on approaching pairs only).
+        h_bar = 0.5 * (h_i + h_j)
+        rho_bar = 0.5 * (rho_i + rho_j)
+        c_bar = 0.5 * (c[i] + c[j])
+        mu = h_bar * v_dot_r / (r * r + av.epsilon * h_bar * h_bar)
+        mu = np.where(v_dot_r < 0.0, mu, 0.0)
+        f_bar = 0.5 * (balsara[i] + balsara[j])
+        visc = f_bar * (-av.alpha * c_bar * mu + av.beta * mu * mu) / rho_bar
+
+        m_i = m[i]
+        m_j = m[j]
+        # Symmetric pair force coefficient: the mirrored pair (j, i)
+        # has the same s with displacement -d, so i gets -m_j s d and
+        # j gets +m_i s d — exact action/reaction per pair.
+        s_ij = pi_term * grad_i + pj_term * grad_j + visc * grad_bar
+        fx_i[s:e] = -m_j * s_ij * dx
+        fx_j[s:e] = m_i * s_ij * dx
+        fy_i[s:e] = -m_j * s_ij * dy
+        fy_j[s:e] = m_i * s_ij * dy
+        fz_i[s:e] = -m_j * s_ij * dz
+        fz_j[s:e] = m_i * s_ij * dz
+
+        # Energy equation: pdV work + viscous heating. v.r is
+        # symmetric under the swap, so each endpoint takes its own pdV
+        # term plus half the (shared) viscous heating.
+        half_heat = 0.5 * visc * grad_bar * v_dot_r
+        du_i[s:e] = m_j * (pi_term * grad_i * v_dot_r + half_heat)
+        du_j[s:e] = m_i * (pj_term * grad_j * v_dot_r + half_heat)
+
+    run_blocks(block, pair_blocks(und.m))
+    # The scatters' bins cross blocks, so each runs once over the
+    # whole table in pair order.
     n = particles.n
-    ax = scatter_sum(i_idx, -m_j * s * dx, n) + scatter_sum(
-        j_idx, m_i * s * dx, n
-    )
-    ay = scatter_sum(i_idx, -m_j * s * dy, n) + scatter_sum(
-        j_idx, m_i * s * dy, n
-    )
-    az = scatter_sum(i_idx, -m_j * s * dz, n) + scatter_sum(
-        j_idx, m_i * s * dz, n
-    )
-
-    # Energy equation: pdV work + viscous heating. v.r is symmetric
-    # under the swap, so each endpoint takes its own pdV term plus half
-    # the (shared) viscous heating.
-    half_heat = 0.5 * visc * grad_bar * v_dot_r
-    du = scatter_sum(
-        i_idx, m_j * (pi_term * grad_i * v_dot_r + half_heat), n
-    ) + scatter_sum(
-        j_idx, m_i * (pj_term * grad_j * v_dot_r + half_heat), n
-    )
+    ax = scatter_sum(i_idx, fx_i, n) + scatter_sum(j_idx, fx_j, n)
+    ay = scatter_sum(i_idx, fy_i, n) + scatter_sum(j_idx, fy_j, n)
+    az = scatter_sum(i_idx, fz_i, n) + scatter_sum(j_idx, fz_j, n)
+    du = scatter_sum(i_idx, du_i, n) + scatter_sum(j_idx, du_j, n)
 
     if external_ax is not None:
         ax += external_ax
@@ -173,14 +184,18 @@ def signal_velocity(
         particles, nlist, box_size
     )
     sym = geom.symmetric()
-    i_idx, j_idx = sym.i_idx, sym.j_idx
-    dvx = particles.vx[i_idx] - particles.vx[j_idx]
-    dvy = particles.vy[i_idx] - particles.vy[j_idx]
-    dvz = particles.vz[i_idx] - particles.vz[j_idx]
-    vdotr_unit = (dvx * sym.dx + dvy * sym.dy + dvz * sym.dz) / sym.r
-    pair_vsig = (
-        particles.c[i_idx]
-        + particles.c[j_idx]
-        - 3.0 * np.minimum(vdotr_unit, 0.0)
-    )
-    return geom.sym_scatter_max(pair_vsig, particles.c)
+    vx, vy, vz, c = particles.vx, particles.vy, particles.vz, particles.c
+    pair_vsig = np.empty(sym.m)
+
+    def block(s: int, e: int) -> None:
+        i, j = sym.i_idx[s:e], sym.j_idx[s:e]
+        dvx = vx[i] - vx[j]
+        dvy = vy[i] - vy[j]
+        dvz = vz[i] - vz[j]
+        vdotr_unit = (
+            dvx * sym.dx[s:e] + dvy * sym.dy[s:e] + dvz * sym.dz[s:e]
+        ) / sym.r[s:e]
+        pair_vsig[s:e] = c[i] + c[j] - 3.0 * np.minimum(vdotr_unit, 0.0)
+
+    run_blocks(block, pair_blocks(sym.m))
+    return geom.sym_scatter_max(pair_vsig, c)

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..geometry import StepGeometry, scatter_sum
+from ..geometry import StepGeometry, run_blocks, scatter_sum
 from ..kernels_math import SmoothingKernel
 from ..neighbors import NeighborList
 from ..particles import ParticleSet
@@ -45,8 +45,13 @@ def compute_xmass(
         particles, nlist, box_size
     )
     w = geom.kernel_value(kernel)
-    contrib = particles.xm[geom.j_idx] * w
-    kx = scatter_sum(geom.i_idx, contrib, particles.n)
+    xm, i_idx, j_idx = particles.xm, geom.i_idx, geom.j_idx
+    kx = np.empty(particles.n)
+
+    def block(a: int, b: int, s: int, e: int) -> None:
+        kx[a:b] = scatter_sum(i_idx[s:e] - a, xm[j_idx[s:e]] * w[s:e], b - a)
+
+    run_blocks(block, geom.blocks)
     # Self contribution W(0, h_i) * xm_i.
     kx += particles.xm * kernel.self_value(particles.h)
     particles.kx = kx

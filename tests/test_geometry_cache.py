@@ -6,13 +6,22 @@ without a Verlet skin) has to reproduce the uncached per-kernel
 recomputation path trajectory-for-trajectory — bit-exact at
 ``skin=0`` (same neighbor list, same summation order) and to tight
 rounding tolerance at ``skin>0`` (identical pair sets, neighbor order
-inherited from the wide query).
+inherited from the wide query). Splitting the pair kernels into many
+blocks across threads must change no bit at all.
 """
+
+import hashlib
+import json
+import multiprocessing as mp
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.sph import NumericProblem, ParticleSet, find_neighbors
+from repro.sph import NumericProblem, ParticleSet, Simulation, find_neighbors
+from repro.sph import geometry
 from repro.sph.eos import IdealGasEOS
 from repro.sph.init import (
     SedovConfig,
@@ -41,6 +50,9 @@ from repro.sph.physics import (
     update_quantities,
 )
 from repro.sph.physics.positions import IntegrationConfig
+from repro.systems import Cluster, by_name
+
+PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
 
 TRACKED_FIELDS = ("rho", "gradh", "divv", "ax", "du")
 
@@ -210,6 +222,32 @@ class TestVerletReuse:
         problem.find_neighbors()
         assert problem.neighbor_rebuilds == 2
 
+    def test_growth_budget_scales_with_kernel_support(self):
+        """h growth moves the support edge by support_radius * dh, not
+        2 dh: a support-3 kernel must rebuild before a pair beyond the
+        wide radius can enter the true support unseen."""
+
+        class _Support3(WendlandC6Kernel):
+            support_radius = 3.0
+
+        p = ParticleSet.zeros(2)
+        p.x[1] = 3.4  # beyond the wide radius (3 + 0.3) * h = 3.3
+        p.m[:], p.h[:], p.u[:] = 1.0, 1.0, 1.0
+        problem = NumericProblem(
+            particles=p, n_ranks=1, kernel=_Support3(), skin=0.3
+        )
+        problem.find_neighbors()
+        assert problem.nlist.counts().tolist() == [0, 0]
+        # 2 dh = 0.28 fits the 0.3 skin budget; 3 dh = 0.42 does not,
+        # and 3 * 1.14 = 3.42 puts the pair inside the true support.
+        p.h[:] = 1.14
+        problem.find_neighbors()
+        fresh = find_neighbors(p, support_radius=3.0)
+        assert fresh.counts().tolist() == [1, 1]
+        for i in range(2):
+            assert set(problem.nlist.of(i)) == set(fresh.of(i))
+        assert problem.neighbor_rebuilds == 2
+
     def test_masked_list_matches_fresh_search(self):
         """The wide list masked to true support = a fresh 2h search."""
         problem = self._problem(skin=0.3)
@@ -256,6 +294,134 @@ def _inputs(kind, seed):
         return make_turbulence(cfg), make_turbulence_eos(cfg), cfg.box_size
     box = 1.0 if kind == "random-periodic" else None
     return _random_asymmetric(seed=seed), IdealGasEOS(), box
+
+
+def _simulate(kind, seed, skin, steps=3):
+    """Run the instrumented loop on ``_inputs``; return the problem,
+    every particle field and the EnergyReport (as exact JSON)."""
+    particles, eos, box = _inputs(kind, seed)
+    problem = NumericProblem(
+        particles=particles, n_ranks=2, eos=eos, box_size=box, skin=skin
+    )
+    cluster = Cluster(by_name("miniHPC"), 2)
+    try:
+        result = Simulation(
+            cluster, "SedovBlast", particles.n, numeric=problem
+        ).run(steps)
+    finally:
+        cluster.detach_management_library()
+    report = json.dumps(result.report.to_dict(), sort_keys=True)
+    return problem, problem.particles.state_dict(), report
+
+
+def _digest(fields, report):
+    digest = hashlib.sha256(report.encode())
+    for name in sorted(fields):
+        if fields[name] is not None:
+            digest.update(name.encode() + fields[name].tobytes())
+    return digest.hexdigest()
+
+
+def _child_run(conn):
+    _, fields, report = _simulate("sedov", 11, 0.1)
+    conn.send(_digest(fields, report))
+    conn.close()
+
+
+class TestBlockedKernels:
+    """Pair kernels split into particle-range blocks across threads
+    reproduce a one-block run bit for bit, and leave no thread behind."""
+
+    @pytest.mark.parametrize("skin", [0.0, 0.1])
+    @pytest.mark.parametrize(
+        "kind", ["sedov", "turbulence", "random-periodic", "random-open"]
+    )
+    def test_many_blocks_match_one_block(self, kind, skin, monkeypatch):
+        monkeypatch.setattr(geometry, "BLOCK_PAIRS", 1 << 40)
+        one, one_fields, one_report = _simulate(kind, 7, skin)
+        assert len(one.geometry.blocks) == 1
+        monkeypatch.setattr(geometry, "BLOCK_PAIRS", 97)
+        many, fields, report = _simulate(kind, 7, skin)
+        assert len(many.geometry.blocks) > 50
+        assert report == one_report
+        assert fields.keys() == one_fields.keys()
+        for name, want in one_fields.items():
+            got = fields[name]
+            assert (got is None) == (want is None), name
+            if want is not None:
+                assert got.tobytes() == want.tobytes(), name
+
+    def test_run_blocks_runs_each_block_once_and_reraises(self, monkeypatch):
+        """More threads than cores and a tiny switch interval: every
+        block runs exactly once, and a failing block's exception reaches
+        the caller after all helpers have stopped."""
+        monkeypatch.setattr(geometry, "kernel_threads", lambda: 8)
+        runs = np.zeros(5000, dtype=np.int64)
+
+        def once(k):
+            runs[k] += 1
+
+        def fail(k):
+            if k == 2500:
+                raise ValueError("block 2500")
+
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            geometry.run_blocks(once, [(k,) for k in range(runs.size)])
+            with pytest.raises(ValueError, match="block 2500"):
+                geometry.run_blocks(fail, [(k,) for k in range(runs.size)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.all(runs == 1)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_run_and_fork_after_run(self, monkeypatch):
+        monkeypatch.setattr(geometry, "BLOCK_PAIRS", 97)
+        before = threading.active_count()
+        _, fields, report = _simulate("sedov", 11, 0.1)
+        assert threading.active_count() == before
+        ctx = mp.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_child_run, args=(send,))
+        child.start()
+        send.close()
+        try:
+            assert recv.poll(120), "forked numeric run did not finish"
+            got = recv.recv()
+        finally:
+            child.join(timeout=30)
+        assert not child.is_alive()
+        assert child.exitcode == 0
+        assert got == _digest(fields, report)
+
+
+def test_full_size_sedov_reproduces_pinned_benchmark_values(tmp_path):
+    """The numeric-sedov benchmark's full-size seed-11 run (16^3
+    particles, 2 ranks, skin 0.1, 10 steps, a checkpoint every 4)
+    spans many pair blocks and matches ``perfbench/pinned.json``."""
+    want = json.loads(PINNED.read_text())["full"]["11"]
+    cfg = SedovConfig(nside=16, blast_energy=1.0, seed=11)
+    particles = make_sedov(cfg)
+    problem = NumericProblem(
+        particles=particles, n_ranks=2, eos=make_sedov_eos(cfg),
+        box_size=cfg.box_size, skin=0.1,
+    )
+    cluster = Cluster(by_name("miniHPC"), 2)
+    try:
+        result = Simulation(
+            cluster, "SedovBlast", particles.n / 2, numeric=problem
+        ).run(10, checkpoint_every=4,
+              checkpoint_path=str(tmp_path / "sedov.ckpt.json"))
+    finally:
+        cluster.detach_management_library()
+    assert len(problem.geometry.blocks) > 1
+    state = hashlib.sha256()
+    for name in ("x", "y", "z", "vx", "vy", "vz", "m", "h", "u"):
+        state.update(getattr(problem.particles, name).tobytes())
+    assert result.gpu_energy_j == want["gpu_energy_j"]
+    assert state.hexdigest() == want["state_sha256"]
 
 
 class _CountingKernel(WendlandC6Kernel):
