@@ -12,6 +12,7 @@ speedup of the numeric overhaul stays an auditable number.
 Modes::
 
     python benchmarks/bench_numeric_hot_path.py            # full, writes artifact
+                                                           # (keeps its smoke entry)
     python benchmarks/bench_numeric_hot_path.py --smoke    # CI regression gate
 
 ``--smoke`` runs a small 12^3 case and compares against the
@@ -94,6 +95,7 @@ def run_case(nside: int, steps: int, skin: float) -> dict:
             "throughput_pps": round(particles.n * steps / elapsed, 1),
             "neighbor_rebuilds": problem.neighbor_rebuilds,
             "neighbor_reuses": problem.neighbor_reuses,
+            "neighbor_rows_searched": problem.neighbor_rows_searched,
         }
     finally:
         cluster.detach_management_library()
@@ -190,8 +192,12 @@ def main() -> int:
         return run_smoke(args.update)
 
     payload = run_full(args.skin)
-    smoke = run_case(SMOKE_NSIDE, SMOKE_STEPS, args.skin)
-    payload["smoke"] = smoke
+    # The smoke baseline is the CI-observed number (see the module
+    # docstring): keep it, and only seed it when the artifact has none.
+    if ARTIFACT.exists():
+        payload["smoke"] = json.loads(ARTIFACT.read_text()).get("smoke")
+    if payload.get("smoke") is None:
+        payload["smoke"] = run_case(SMOKE_NSIDE, SMOKE_STEPS, args.skin)
     ARTIFACT.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {ARTIFACT}")
     return 0

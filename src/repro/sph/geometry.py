@@ -12,10 +12,11 @@ distances ``r``. Historically each kernel recomputed them from scratch
 to every kernel.
 
 The cache also supports Verlet-skin neighbor reuse: built from a *wide*
-list searched at ``(support_radius + skin) * h``, it masks the pairs
-back down to the true ``r <= support_radius * h_i`` support each step,
-so the expensive tree search can be amortized over several steps while
-the physics sees exactly the pairs a fresh search would have produced.
+list whose rows were searched at ``(support_radius + skin) * h``, it
+masks the pairs back down to the true ``r <= support_radius * h_i``
+support each step, so each row's tree search can be amortized over
+several steps while the physics sees exactly the pairs a fresh search
+would have produced.
 
 Scatter reductions over the pair arrays go through
 :func:`scatter_sum` (``np.bincount``) rather than ``np.add.at``:
@@ -218,8 +219,13 @@ class StepGeometry:
         With ``support_radius`` given, ``nlist`` is treated as a *wide*
         (Verlet-skin) list and the pairs are masked back to the true
         ``r <= support_radius * h_i`` support; the returned geometry
-        carries a correspondingly masked ``nlist``. Without it the list
-        is taken at face value (the classic one-search-per-step path).
+        carries a correspondingly masked ``nlist``. Every row of a wide
+        list must then hold its particle's whole true support, in
+        increasing index order: the mask keeps a row's order, and the
+        missing-mirror flags are read off distances on the assumption
+        that every mirror inside the support is present. Without
+        ``support_radius`` the list is taken at face value (the classic
+        one-search-per-step path).
         """
         n = nlist.n
         wide_offsets = np.asarray(nlist.offsets, dtype=np.int64)
@@ -263,10 +269,13 @@ class StepGeometry:
                 # exactly when r <= support * h_j. r is exactly
                 # symmetric (the displacement is an IEEE negation and
                 # np.round is symmetric), and every such mirror is in
-                # the wide list: its (support + skin) * h_j search
-                # radius leaves a margin far above the round-off
-                # between cKDTree's distance and this one. So no
-                # pair-set scan is needed.
+                # the wide list: row j holds all of j's true support,
+                # because its motion budget (NumericProblem.
+                # find_neighbors) has it searched again, at
+                # (support + skin) * h_j, before an unseen pair can
+                # enter, and the skin dwarfs the round-off between
+                # cKDTree's distance and this one. So no pair-set scan
+                # is needed.
                 sym_missing[s:e] = r2 > (support_radius * h[j]) ** 2
                 counts[a:b] = np.bincount(i - a, minlength=b - a)
             dx[s:e], dy[s:e], dz[s:e] = bx, by, bz

@@ -1,7 +1,9 @@
 """Neighbor search (FindNeighbors substrate).
 
 Produces CSR-style neighbor lists: ``neighbors[offsets[i]:offsets[i+1]]``
-are the indices within ``2 h_i`` of particle ``i`` (self excluded).
+are the indices within ``support_radius * h_i`` (closed bound, so
+``r <= support_radius * h_i``) of particle ``i``, self excluded, in
+increasing index order.
 Backed by :class:`scipy.spatial.cKDTree`, with native periodic-box
 support for the turbulence workload. A brute-force reference
 implementation is kept for cross-validation in the tests.
@@ -58,16 +60,41 @@ class NeighborList:
             return 0.0
         return self.total_pairs / self.n
 
+    def replace_rows(
+        self, rows: np.ndarray, fresh: "NeighborList"
+    ) -> "NeighborList":
+        """Copy of this list with the rows ``rows`` (sorted indices)
+        replaced by the rows of ``fresh``, one per entry of ``rows``.
+
+        Every row of the result is one run of either this list or
+        ``fresh``, so it is gathered from their concatenation through
+        one index array, without a loop over rows.
+        """
+        counts = self.counts()
+        counts[rows] = fresh.counts()
+        offsets = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        start = self.offsets[:-1].copy()
+        start[rows] = len(self.neighbors) + fresh.offsets[:-1]
+        src = np.repeat(start - offsets[:-1], counts)
+        src += np.arange(offsets[-1], dtype=np.int64)
+        neighbors = np.concatenate([self.neighbors, fresh.neighbors])[src]
+        return NeighborList(neighbors=neighbors, offsets=offsets)
+
 
 def find_neighbors(
     particles: ParticleSet,
     support_radius: float = 2.0,
     box_size: Optional[float] = None,
+    rows: Optional[np.ndarray] = None,
 ) -> NeighborList:
     """Find all neighbors within ``support_radius * h_i`` of each particle.
 
     ``box_size`` enables a cubic periodic domain ``[0, box_size)^3``
-    (positions must already be wrapped into it).
+    (positions must already be wrapped into it). With ``rows`` (sorted
+    particle indices) only those particles are queried, against all
+    particles; the returned list then has one row per entry of
+    ``rows``. Each row lists its neighbors in increasing index order.
     """
     pos = particles.positions()
     if box_size is not None:
@@ -76,8 +103,12 @@ def find_neighbors(
         tree = cKDTree(pos, boxsize=box_size)
     else:
         tree = cKDTree(pos)
-    radii = support_radius * particles.h
-    lists = tree.query_ball_point(pos, radii, workers=-1)
+    if rows is None:
+        rows = np.arange(particles.n, dtype=np.int64)
+    radii = support_radius * particles.h[rows]
+    lists = tree.query_ball_point(
+        pos[rows], radii, workers=-1, return_sorted=True
+    )
     counts = np.fromiter((len(l) for l in lists), dtype=np.int64, count=len(lists))
     # Flatten in one pass; chaining the raw Python lists avoids one
     # intermediate ndarray per particle.
@@ -86,7 +117,7 @@ def find_neighbors(
     )
     # Drop self references.
     owner = np.repeat(np.arange(len(lists), dtype=np.int64), counts)
-    keep = flat != owner
+    keep = flat != rows[owner]
     flat = flat[keep]
     new_counts = np.bincount(owner[keep], minlength=len(lists)).astype(np.int64)
     offsets = np.zeros(len(lists) + 1, dtype=np.int64)
@@ -99,7 +130,11 @@ def find_neighbors_bruteforce(
     support_radius: float = 2.0,
     box_size: Optional[float] = None,
 ) -> NeighborList:
-    """O(n^2) reference implementation (tests only)."""
+    """O(n^2) reference implementation (tests only).
+
+    Same closed bound ``r <= support_radius * h_i`` and row order as
+    :func:`find_neighbors`.
+    """
     pos = particles.positions()
     n = particles.n
     radii = support_radius * particles.h
@@ -110,7 +145,7 @@ def find_neighbors_bruteforce(
         if box_size is not None:
             d -= box_size * np.round(d / box_size)
         r = np.sqrt(np.sum(d * d, axis=1))
-        idx = np.where((r < radii[i]) & (np.arange(n) != i))[0]
+        idx = np.where((r <= radii[i]) & (np.arange(n) != i))[0]
         neigh.append(idx.astype(np.int64))
         counts[i] = len(idx)
     offsets = np.zeros(n + 1, dtype=np.int64)
@@ -186,10 +221,10 @@ def symmetric_pairs(nlist: NeighborList) -> "tuple[np.ndarray, np.ndarray]":
     """Directed pair arrays closed under reversal.
 
     With adaptive smoothing lengths the gather lists are asymmetric:
-    ``j`` can be within ``2 h_i`` of ``i`` while ``i`` is outside
-    ``2 h_j``. Momentum-conserving force sums need every such pair in
-    *both* directions so action and reaction are both accumulated; this
-    helper appends the missing mirrored entries.
+    ``j`` can be within the support of ``h_i`` while ``i`` is outside
+    the support of ``h_j``. Momentum-conserving force sums need every
+    such pair in *both* directions so action and reaction are both
+    accumulated; this helper appends the missing mirrored entries.
 
     Callers inside the step loop should prefer the cached closure on
     :class:`repro.sph.geometry.StepGeometry`, which runs this scan at

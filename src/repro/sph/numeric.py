@@ -55,20 +55,86 @@ HALO_BYTES_PER_PARTICLE = 11 * 8
 #: above the round-off between cKDTree's distances and NumPy's.
 MIN_SKIN = 1e-9
 
+#: Smallest edge of the motion-budget grid cells as a fraction of the
+#: widest Verlet search radius ``L = (support + skin) * max h^ref``
+#: (see :func:`neighborhood_max`). Narrower cells bound each row's
+#: neighborhood motion more tightly and cost more cells; on the seed-11
+#: numeric-sedov run, cells of width ``L`` flagged about twice as many
+#: rows for re-search as cells of ``L / 4``.
+CELL_FRACTION = 0.25
+
+
+def neighborhood_max(
+    positions: np.ndarray,
+    values: np.ndarray,
+    length: float,
+    box_size: Optional[float] = None,
+) -> np.ndarray:
+    """Per particle, an upper bound on ``values`` over every particle
+    within ``length`` of it (minimum image when periodic).
+
+    Particles are binned into a grid over the periodic box, or over
+    the current bounding box when open, with as many cells per axis as
+    fit at a width of at least ``CELL_FRACTION * length``. The bound is
+    the maximum of ``values`` over the cube of cells within ``reach =
+    ceil(length / width)`` cells of the particle's own, wrapping around
+    the box when periodic: a particle within ``length`` along an axis
+    sits at most ``reach`` cells away on it. An axis with at most
+    ``2 * reach`` cells takes its whole-axis maximum. The cells per axis
+    are capped at ``2 * ceil(n ** (1/3))`` so a far-flung open particle
+    cannot blow the grid up; wider cells only loosen the bound.
+    """
+    n = len(values)
+    if box_size is not None:
+        lo = np.zeros(3)
+        extent = np.full(3, float(box_size))
+    else:
+        lo = positions.min(axis=0)
+        extent = positions.max(axis=0) - lo
+    cap = 2 * math.ceil(n ** (1.0 / 3.0))
+    shape = np.clip(
+        np.floor(extent / (CELL_FRACTION * length)), 1, cap
+    ).astype(np.int64)
+    width = np.where(extent > 0.0, extent / shape, 1.0)
+    cell = np.minimum(
+        np.floor((positions - lo) / width).astype(np.int64), shape - 1
+    )
+    grid = np.zeros(tuple(shape))
+    np.maximum.at(grid.reshape(-1), np.ravel_multi_index(cell.T, shape), values)
+    for axis in range(3):
+        # The 1e-6 cell of slack absorbs round-off in the binning.
+        reach = math.ceil(length / width[axis] + 1e-6)
+        if shape[axis] <= 2 * reach:
+            grid = np.broadcast_to(
+                grid.max(axis=axis, keepdims=True), grid.shape
+            )
+            continue
+        g = np.moveaxis(grid, axis, 0)
+        padded = np.pad(
+            g, ((reach, reach), (0, 0), (0, 0)),
+            mode="constant" if box_size is None else "wrap",
+        )
+        out = padded[: len(g)].copy()
+        for k in range(1, 2 * reach + 1):
+            np.maximum(out, padded[k : k + len(g)], out=out)
+        grid = np.moveaxis(out, 0, axis)
+    return grid[cell[:, 0], cell[:, 1], cell[:, 2]]
+
 
 @dataclass
 class NumericProblem:
     """Global-array physics state shared by all simulated ranks.
 
-    ``skin`` enables Verlet-skin neighbor reuse: the tree search runs
-    at radius ``(support_radius + skin) * h`` and the resulting wide
-    list is kept across steps until accumulated particle motion (or
-    smoothing-length growth) could let an unseen pair enter the true
-    kernel support; each step the shared :class:`StepGeometry` masks
-    the wide list back to ``r <= support_radius * h_i``, so the physics
-    sees exactly the pairs a fresh search would produce. ``skin`` is
-    dimensionless (units of ``h``); ``0.0`` — the default — rebuilds
-    every step, ``0.1`` is a sane choice for production runs. NaN,
+    ``skin`` enables Verlet-skin neighbor reuse: each row ``i`` of the
+    neighbor list is searched at radius ``(support_radius + skin) * h_i``
+    and kept across steps until the motion around it (or the growth of
+    ``h_i``) could let an unseen pair enter its true kernel support;
+    only such rows are searched again (see :meth:`find_neighbors`).
+    Each step the shared :class:`StepGeometry` masks the wide list back
+    to ``r <= support_radius * h_i``, so the physics sees exactly the
+    pairs a fresh search would produce. ``skin`` is dimensionless
+    (units of ``h``); ``0.0`` — the default — searches every row every
+    step, ``0.1`` is a sane choice for production runs. NaN,
     infinite, negative and positive values below :data:`MIN_SKIN` raise
     ``ValueError``.
     """
@@ -96,16 +162,20 @@ class NumericProblem:
     step_index: int = 0
     #: Bytes to exchange between rank pairs this step (n_ranks^2).
     exchange_bytes: Optional[np.ndarray] = None
-    #: Tree searches performed / wide lists reused (perf diagnostics).
+    #: find_neighbors calls that searched some rows / searched none,
+    #: and rows searched in all (perf diagnostics).
     neighbor_rebuilds: int = 0
     neighbor_reuses: int = 0
+    neighbor_rows_searched: int = 0
     _gravity_acc: Optional[np.ndarray] = None
     _previous_ranks: Optional[np.ndarray] = None
     _wide_nlist: Optional[NeighborList] = None
-    _rebuild_x: Optional[np.ndarray] = None
-    _rebuild_y: Optional[np.ndarray] = None
-    _rebuild_z: Optional[np.ndarray] = None
-    _rebuild_h: Optional[np.ndarray] = None
+    #: Per wide-list row: motion budget spent since its last search,
+    #: and h at that search (Verlet skin only).
+    _row_budget: Optional[np.ndarray] = None
+    _search_h: Optional[np.ndarray] = None
+    #: (n, 3) positions at the previous find_neighbors call.
+    _previous_positions: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         skin = float(self.skin)
@@ -167,28 +237,53 @@ class NumericProblem:
     def find_neighbors(self) -> None:
         """Refresh the neighbor list and the shared step geometry.
 
-        With a positive ``skin`` the cKDTree search is amortized: a
-        wide list at ``(support + skin) * h`` is rebuilt only when the
-        conservative Verlet criterion (see :meth:`_needs_rebuild`) can
-        no longer guarantee it covers the true support, and every step
-        the geometry masks it back to ``r <= support * h_i``.
+        With a positive ``skin`` (``s``) and kernel support ``R``, row
+        ``i`` of the wide list holds every particle within
+        ``(R + s) * h_i^ref`` of ``i`` at its last search, ``h_i^ref``
+        being ``h_i`` then. Every call adds to the row's budget ``B_i``
+        its particle's displacement since the previous call plus the
+        largest displacement near it (:func:`neighborhood_max` within
+        ``L = (R + s) * max h^ref``). A particle ``j`` missing from the
+        row was farther than ``(R + s) * h_i^ref`` at the search; on
+        every later step at which it was within that distance it was
+        within ``L``, so its motion there is covered by the near term,
+        and now ``r_ij > (R + s) * h_i^ref - B_i``. The row therefore
+        still covers the true support while
+
+            B_i + R * max(0, h_i - h_i^ref) <= s * h_i^ref;
+
+        only rows that fail this test are searched again, at
+        ``(R + s) * h_i``, and spliced into the list. The first call
+        (and any call with every row stale) searches all rows. Every
+        step the geometry masks the list back to ``r <= R * h_i``.
         """
         p = self.particles
         support = self.kernel.support_radius
         if self.skin > 0.0:
-            if self._wide_nlist is None or self._needs_rebuild():
-                self._wide_nlist = find_neighbors(
+            positions = p.positions()
+            rows = self._stale_rows(positions)
+            if rows is None or rows.size:
+                fresh = find_neighbors(
                     p,
                     support_radius=support + self.skin,
                     box_size=self.box_size,
+                    rows=rows,
                 )
-                self._rebuild_x = np.copy(p.x)
-                self._rebuild_y = np.copy(p.y)
-                self._rebuild_z = np.copy(p.z)
-                self._rebuild_h = np.copy(p.h)
+                if rows is None:
+                    self._wide_nlist = fresh
+                    self._row_budget = np.zeros(p.n)
+                    self._search_h = np.copy(p.h)
+                else:
+                    self._wide_nlist = self._wide_nlist.replace_rows(
+                        rows, fresh
+                    )
+                    self._row_budget[rows] = 0.0
+                    self._search_h[rows] = p.h[rows]
                 self.neighbor_rebuilds += 1
+                self.neighbor_rows_searched += fresh.n
             else:
                 self.neighbor_reuses += 1
+            self._previous_positions = positions
             geom = StepGeometry.build(
                 p,
                 self._wide_nlist,
@@ -200,39 +295,38 @@ class NumericProblem:
                 p, support_radius=support, box_size=self.box_size
             )
             self.neighbor_rebuilds += 1
+            self.neighbor_rows_searched += p.n
             geom = StepGeometry.build(
                 p, self._wide_nlist, box_size=self.box_size
             )
         self.geometry = geom
         self.nlist = geom.nlist
 
-    def _needs_rebuild(self) -> bool:
-        """Conservative Verlet-skin invalidation test.
-
-        With ``R`` the kernel's support radius, a pair (i, j) inside
-        the true support now (``r <= R h_i``) was inside the wide
-        search radius ``(R + skin) h_i^reb`` at rebuild time as long as
-
-            R max(0, h_i - h_i^reb) + |dx_i| + |dx_j|
-                <= skin * h_i^reb,
-
-        so the wide list is provably complete while
-
-            2 max|dx| + R max(0, dh) <= skin * min(h^reb).
-        """
+    def _stale_rows(self, positions: np.ndarray) -> Optional[np.ndarray]:
+        """Charge this call's motion to every row's budget and return
+        the rows whose budget is spent (``None``: every row, or no
+        list yet)."""
+        if self._wide_nlist is None:
+            return None
         p = self.particles
-        dx = p.x - self._rebuild_x
-        dy = p.y - self._rebuild_y
-        dz = p.z - self._rebuild_z
+        d = positions - self._previous_positions
         if self.box_size is not None:
-            dx -= self.box_size * np.round(dx / self.box_size)
-            dy -= self.box_size * np.round(dy / self.box_size)
-            dz -= self.box_size * np.round(dz / self.box_size)
-        max_disp = float(np.sqrt(np.max(dx * dx + dy * dy + dz * dz)))
-        max_h_growth = float(np.max(p.h - self._rebuild_h, initial=0.0))
-        budget = self.skin * float(np.min(self._rebuild_h))
-        growth = self.kernel.support_radius * max(max_h_growth, 0.0)
-        return 2.0 * max_disp + growth > budget
+            d -= self.box_size * np.round(d / self.box_size)
+        step = np.sqrt(np.sum(d * d, axis=1))
+        wide = self.kernel.support_radius + self.skin
+        near = neighborhood_max(
+            positions,
+            step,
+            wide * float(np.max(self._search_h)),
+            self.box_size,
+        )
+        self._row_budget += step + near
+        growth = self.kernel.support_radius * np.maximum(
+            p.h - self._search_h, 0.0
+        )
+        stale = self._row_budget + growth > self.skin * self._search_h
+        rows = np.flatnonzero(stale)
+        return None if rows.size == p.n else rows
 
     def xmass(self) -> None:
         self._require_nlist()
@@ -349,13 +443,13 @@ class NumericProblem:
             "exchange_bytes": self.exchange_bytes,
             "neighbor_rebuilds": self.neighbor_rebuilds,
             "neighbor_reuses": self.neighbor_reuses,
+            "neighbor_rows_searched": self.neighbor_rows_searched,
             "previous_ranks": self._previous_ranks,
             "wide_neighbors": None if wide is None else wide.neighbors,
             "wide_offsets": None if wide is None else wide.offsets,
-            "rebuild_x": self._rebuild_x,
-            "rebuild_y": self._rebuild_y,
-            "rebuild_z": self._rebuild_z,
-            "rebuild_h": self._rebuild_h,
+            "row_budget": self._row_budget,
+            "search_h": self._search_h,
+            "previous_positions": self._previous_positions,
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
@@ -363,6 +457,9 @@ class NumericProblem:
 
         Older checkpoints also carry a ``wide_mirror_absent`` mask; the
         step geometry now derives it from distances, so it is ignored.
+        Checkpoints from before the per-row Verlet budgets hold one
+        global rebuild reference (``rebuild_x/y/z/h``) instead; their
+        wide list is dropped and the next step searches every row.
         """
         self.particles = ParticleSet.from_state(state["particles"])
         self.rank_of_particle = state["rank_of_particle"]
@@ -375,18 +472,20 @@ class NumericProblem:
         self.exchange_bytes = state["exchange_bytes"]
         self.neighbor_rebuilds = int(state["neighbor_rebuilds"])
         self.neighbor_reuses = int(state["neighbor_reuses"])
+        self.neighbor_rows_searched = int(
+            state.get("neighbor_rows_searched", 0)
+        )
         self._previous_ranks = state["previous_ranks"]
-        if state["wide_neighbors"] is None:
+        if state["wide_neighbors"] is None or "row_budget" not in state:
             self._wide_nlist = None
         else:
             self._wide_nlist = NeighborList(
                 neighbors=state["wide_neighbors"],
                 offsets=state["wide_offsets"],
             )
-        self._rebuild_x = state["rebuild_x"]
-        self._rebuild_y = state["rebuild_y"]
-        self._rebuild_z = state["rebuild_z"]
-        self._rebuild_h = state["rebuild_h"]
+        self._row_budget = state.get("row_budget")
+        self._search_h = state.get("search_h")
+        self._previous_positions = state.get("previous_positions")
         self.nlist = None
         self.geometry = None
         self._gravity_acc = None

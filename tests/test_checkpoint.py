@@ -257,6 +257,84 @@ def test_numeric_resume_is_bit_exact_with_verlet_skin(tmp_path):
     assert _digest(resumed) == _digest(ref)
 
 
+def _numeric_state(sim):
+    """Counters and wide Verlet list of a finished numeric run."""
+    numeric = sim.numeric
+    wide = numeric._wide_nlist
+    return (
+        numeric.neighbor_rebuilds,
+        numeric.neighbor_reuses,
+        numeric.neighbor_rows_searched,
+        wide.offsets.tobytes(),
+        wide.neighbors.tobytes(),
+    )
+
+
+def _rows_after_first_step(sim):
+    """on_step hook recording rows searched once the first resumed
+    step is done."""
+    seen = []
+
+    def hook(step):
+        if not seen:
+            seen.append(sim.numeric.neighbor_rows_searched)
+
+    return seen, hook
+
+
+def test_numeric_resume_keeps_per_row_verlet_state(tmp_path):
+    """Row budgets, search-time h and the previous positions are in the
+    checkpoint: the resumed run rebuilds the same wide list with the
+    same counters as the uninterrupted one."""
+    ref = _numeric_sim()
+    ref_res = ref.run(6)
+    assert 0 < ref.numeric.neighbor_rows_searched
+
+    ckpt = str(tmp_path / "c.json")
+    _numeric_sim().run(3, checkpoint_every=3, checkpoint_path=ckpt)
+    numeric = read_checkpoint(ckpt)["numeric"]
+    n = len(numeric["row_budget"])
+    assert numeric["search_h"].shape == (n,)
+    assert numeric["previous_positions"].shape == (n, 3)
+    assert not any(k.startswith("rebuild_") for k in numeric)
+
+    resumed = _numeric_sim()
+    res = resumed.run(6, restore_from=ckpt)
+    assert res.resumed_from_step == 3
+    assert res.gpu_energy_j == ref_res.gpu_energy_j
+    assert _digest(resumed) == _digest(ref)
+    assert _numeric_state(resumed) == _numeric_state(ref)
+
+
+def test_numeric_resume_from_global_rebuild_checkpoint_searches_all_rows(
+    tmp_path,
+):
+    """Checkpoints from before the per-row budgets hold one global
+    rebuild reference (``rebuild_x/y/z/h``); the first resumed step
+    searches every row and the physics still matches bit for bit."""
+    ref = _numeric_sim()
+    ref_res = ref.run(6)
+
+    ckpt = str(tmp_path / "c.json")
+    _numeric_sim().run(3, checkpoint_every=3, checkpoint_path=ckpt)
+    state = read_checkpoint(ckpt)
+    numeric = state["numeric"]
+    positions = numeric.pop("previous_positions")
+    for k, axis in enumerate("xyz"):
+        numeric[f"rebuild_{axis}"] = positions[:, k].copy()
+    numeric["rebuild_h"] = numeric.pop("search_h")
+    del numeric["row_budget"], numeric["neighbor_rows_searched"]
+    write_checkpoint(ckpt, state)
+
+    resumed = _numeric_sim()
+    seen, hook = _rows_after_first_step(resumed)
+    res = resumed.run(6, restore_from=ckpt, on_step=hook)
+    assert res.resumed_from_step == 3
+    assert seen == [resumed.numeric.particles.n]
+    assert res.gpu_energy_j == ref_res.gpu_energy_j
+    assert _digest(resumed) == _digest(ref)
+
+
 def test_legacy_mirror_mask_checkpoint_resumes_bit_exact(tmp_path):
     """Checkpoints from before the mirror mask was derived from
     distances carry a ``wide_mirror_absent`` key; restore ignores it

@@ -24,16 +24,18 @@ from repro.sph import NumericProblem, ParticleSet, Simulation, find_neighbors
 from repro.sph import geometry
 from repro.sph.eos import IdealGasEOS
 from repro.sph.init import (
+    EvrardConfig,
     SedovConfig,
     TurbulenceConfig,
     TurbulenceDriver,
+    make_evrard,
     make_sedov,
     make_sedov_eos,
     make_turbulence,
     make_turbulence_eos,
 )
 from repro.sph.kernels_math import WendlandC6Kernel, default_kernel
-from repro.sph.numeric import MIN_SKIN
+from repro.sph.numeric import MIN_SKIN, neighborhood_max
 from repro.sph.neighbors import (
     mirror_missing,
     pairs_member_mask,
@@ -270,7 +272,7 @@ class TestVerletReuse:
             assert set(masked.of(i)) == set(fresh.of(i))
 
 
-def _random_asymmetric(n=300, seed=9):
+def _random_asymmetric(n=300, seed=9, h0=0.06):
     rng = np.random.default_rng(seed)
     p = ParticleSet.zeros(n)
     p.x[:] = rng.random(n)
@@ -279,7 +281,7 @@ def _random_asymmetric(n=300, seed=9):
     p.m[:] = 1.0 / n
     # Strongly asymmetric smoothing lengths: many pairs where j is
     # inside 2 h_i but i is outside 2 h_j.
-    p.h[:] = 0.06 * (1.0 + 2.0 * rng.random(n))
+    p.h[:] = h0 * (1.0 + 2.0 * rng.random(n))
     p.u[:] = 1.0
     return p
 
@@ -497,6 +499,223 @@ class TestDistanceDerivedGeometry:
         problem.equation_of_state()
         problem.iad_velocity_div_curl()
         assert kernel.value_calls == 1
+
+
+def _drift_inputs(kind):
+    """Particles and periodic box for the multi-step Verlet tests:
+    large enough that a motion cube covers only part of the domain."""
+    if kind == "sedov":
+        return make_sedov(SedovConfig(nside=12, seed=21)), 1.0
+    if kind == "turbulence":
+        cfg = TurbulenceConfig(nside=12, mach_rms=0.3, seed=21)
+        return make_turbulence(cfg), 1.0
+    if kind == "evrard":
+        # Open sphere, h spread 4.7x between centre and edge.
+        return make_evrard(EvrardConfig(n_particles=2500, seed=29)), None
+    box = 1.0 if kind == "random-periodic" else None
+    return _random_asymmetric(n=1500, seed=21, h0=0.04), box
+
+
+def _fast_region(p, box):
+    """The 1% of particles nearest one particle (at the open edge)."""
+    pos = p.positions()
+    centre = 0 if box is not None else int(np.argmax(p.x))
+    d = pos - pos[centre]
+    if box is not None:
+        d -= box * np.round(d / box)
+    order = np.argsort(np.sum(d * d, axis=1), kind="stable")
+    return order[: max(3, p.n // 100)]
+
+
+def _drift(p, box, skin, fast, rng):
+    """Slow motion everywhere, and fast motion plus h growth in
+    ``fast`` that spends a row's skin budget within a step or two."""
+    unit = skin * float(np.min(p.h))
+    for arr in (p.x, p.y, p.z):
+        arr += rng.uniform(-0.01, 0.01, p.n) * unit
+        arr[fast] += rng.uniform(-0.6, 0.6, fast.size) * unit
+        if box is not None:
+            arr %= box
+    p.h *= 1.0 + 0.01 * skin * rng.uniform(-1.0, 1.0, p.n)
+    p.h[fast] *= 1.0 + 0.05 * skin
+
+
+def _assert_fresh(problem):
+    """The masked list equals a fresh search at R h, array for array."""
+    fresh = find_neighbors(
+        problem.particles,
+        support_radius=problem.kernel.support_radius,
+        box_size=problem.box_size,
+    )
+    assert np.array_equal(problem.nlist.offsets, fresh.offsets)
+    assert np.array_equal(problem.nlist.neighbors, fresh.neighbors)
+
+
+def _drive(problem, steps, move):
+    """Call find_neighbors ``steps`` times, checking the masked list
+    after each and calling ``move()`` between; returns rows searched
+    per call."""
+    rows = []
+    for step in range(steps):
+        if step:
+            move()
+        before = problem.neighbor_rows_searched
+        problem.find_neighbors()
+        rows.append(problem.neighbor_rows_searched - before)
+        _assert_fresh(problem)
+    return rows
+
+
+def _particles(x, y, z, h):
+    n = len(x)
+    p = ParticleSet.zeros(n)
+    p.x[:], p.y[:], p.z[:] = x, y, z
+    p.m[:], p.h[:], p.u[:] = 1.0 / n, h, 1.0
+    return p
+
+
+class TestPerRowVerletBudget:
+    """Only rows whose motion budget is spent are searched again, and
+    the masked list stays exactly a fresh search."""
+
+    @pytest.mark.parametrize("skin", [0.05, 0.1, 0.5])
+    @pytest.mark.parametrize(
+        "kind",
+        ["sedov", "turbulence", "random-periodic", "random-open", "evrard"],
+    )
+    def test_local_fast_motion(self, kind, skin):
+        particles, box = _drift_inputs(kind)
+        if kind == "evrard":
+            assert particles.h.max() / particles.h.min() > 4.5
+        problem = NumericProblem(
+            particles=particles, n_ranks=1, box_size=box, skin=skin
+        )
+        fast = _fast_region(particles, box)
+        rng = np.random.default_rng(5)
+        rows = _drive(
+            problem, 6, lambda: _drift(particles, box, skin, fast, rng)
+        )
+        n = particles.n
+        assert rows[0] == n
+        assert all(k < n for k in rows[1:]), rows
+        assert sum(rows[1:]) > 0, rows
+        assert problem.neighbor_rebuilds == 1 + sum(k > 0 for k in rows[1:])
+        assert problem.neighbor_reuses == sum(k == 0 for k in rows[1:])
+
+    def test_slow_rows_keep_their_entries(self):
+        """Rows that were not searched again keep their wide-list run
+        unchanged; searched rows get a fresh wide search and a fresh
+        budget, so a call with no motion searches nothing."""
+        particles, box = _drift_inputs("sedov")
+        problem = NumericProblem(
+            particles=particles, n_ranks=1, box_size=box, skin=0.1
+        )
+        problem.find_neighbors()
+        before = problem._wide_nlist
+        search_h = np.copy(problem._search_h)
+        _drift(particles, box, 0.1, _fast_region(particles, box),
+               np.random.default_rng(1))
+        problem.find_neighbors()
+        after = problem._wide_nlist
+        # Every h moved, so the rows whose search h changed are the
+        # rows searched.
+        searched = problem._search_h != search_h
+        assert 0 < searched.sum() < particles.n
+        assert np.all((problem._row_budget == 0.0) == searched)
+        wide = find_neighbors(particles, support_radius=2.1, box_size=box)
+        for i in range(particles.n):
+            want = wide.of(i) if searched[i] else before.of(i)
+            assert np.array_equal(after.of(i), want)
+        rows = problem.neighbor_rows_searched
+        problem.find_neighbors()
+        assert problem.neighbor_rows_searched == rows
+        assert problem.neighbor_reuses == 1
+
+    def test_two_collinear_particles(self):
+        """Zero extent on two axes: one cell there, whole-axis maxima."""
+        p = _particles([0.0, 0.5], [0.0, 0.0], [0.0, 0.0], 0.2)
+        problem = NumericProblem(particles=p, n_ranks=1, skin=0.5)
+
+        def approach():
+            p.x[1] -= 0.03
+
+        rows = _drive(problem, 8, approach)
+        assert problem.nlist.counts().tolist() == [1, 1]
+        assert rows[0] == 2 and sum(rows[1:]) > 0
+
+    def test_all_particles_in_one_cell(self):
+        rng = np.random.default_rng(4)
+        n = 40
+        p = _particles(*(1e-3 * rng.random((3, n))), 0.5)
+        problem = NumericProblem(particles=p, n_ranks=1, skin=0.1)
+
+        def jitter():
+            for arr in (p.x, p.y, p.z):
+                arr += rng.uniform(-0.02, 0.02, n)
+
+        rows = _drive(problem, 5, jitter)
+        assert problem.nlist.counts().tolist() == [n - 1] * n
+        assert rows[0] == n
+
+    def test_grid_smaller_than_the_cube(self):
+        """A periodic box with fewer cells per axis than the cube
+        spans falls back to whole-axis maxima and stays exact."""
+        particles = _random_asymmetric(n=200, seed=6, h0=0.1)
+        problem = NumericProblem(
+            particles=particles, n_ranks=1, box_size=1.0, skin=0.2
+        )
+        fast = _fast_region(particles, 1.0)
+        rng = np.random.default_rng(8)
+        _drive(
+            problem, 5, lambda: _drift(particles, 1.0, 0.2, fast, rng)
+        )
+
+
+class TestNeighborhoodMax:
+    """The cube bound covers every particle within ``length``."""
+
+    @staticmethod
+    def _check(pos, values, length, box):
+        bound = neighborhood_max(pos, values, length, box)
+        d = pos[:, None, :] - pos[None, :, :]
+        if box is not None:
+            d -= box * np.round(d / box)
+        near = np.sqrt(np.sum(d * d, axis=2)) <= length
+        want = np.max(np.where(near, values[None, :], 0.0), axis=1)
+        assert np.all(bound >= want)
+        assert np.all(bound >= values)
+        return bound
+
+    @pytest.mark.parametrize("box", [None, 1.0])
+    @pytest.mark.parametrize("length", [0.05, 0.13, 0.3, 2.0])
+    def test_random_points(self, box, length):
+        rng = np.random.default_rng(12)
+        pos = rng.random((400, 3))
+        values = rng.random(400) ** 8
+        bound = self._check(pos, values, length, box)
+        if length < 0.1:
+            assert np.min(bound) < np.max(values)  # the bound is local
+
+    def test_degenerate_extents(self):
+        rng = np.random.default_rng(3)
+        values = rng.random(30)
+        line = np.zeros((30, 3))
+        line[:, 0] = np.linspace(0.0, 1.0, 30)
+        self._check(line, values, 0.1, None)
+        self._check(np.zeros((30, 3)), values, 0.1, None)
+        self._check(np.zeros((1, 3)), values[:1], 0.1, None)
+        self._check(1e-9 * rng.random((30, 3)), values, 0.1, None)
+        self._check(rng.random((30, 3)), values, 0.45, 1.0)
+
+    def test_far_outlier_keeps_the_grid_small(self):
+        """One open particle 1e6 away would need 4e7 cells of
+        ``length / 4`` on its axis; the per-axis cap keeps the grid at
+        a few cells per particle and the bound still holds."""
+        rng = np.random.default_rng(2)
+        pos = rng.random((400, 3))
+        pos[0] = (1e6, 0.5, 0.5)
+        values = rng.random(400)
+        self._check(pos, values, 0.1, None)
 
 
 class TestSkinValidation:

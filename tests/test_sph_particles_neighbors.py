@@ -125,3 +125,62 @@ def test_pair_displacements_minimum_image():
     dx, dy, dz, r, i_idx, j_idx = pair_displacements(p, nlist, box_size=1.0)
     assert np.all(r < 0.1)  # wrapped distance, not 0.96
     assert np.all(np.abs(dx) < 0.1)
+
+
+def _lattice(side=4, spacing=0.25, h=0.125):
+    """Cubic lattice whose axis neighbors sit exactly on the search
+    radius ``2 h`` (every coordinate and distance is exact in binary)."""
+    g = np.arange(side) * spacing
+    x, y, z = (a.ravel() for a in np.meshgrid(g, g, g, indexing="ij"))
+    n = len(x)
+    return ParticleSet(
+        x=x, y=y, z=z,
+        vx=np.zeros(n), vy=np.zeros(n), vz=np.zeros(n),
+        m=np.ones(n), h=np.full(n, h), u=np.ones(n),
+    )
+
+
+@pytest.mark.parametrize("box", [None, 1.0])
+def test_bruteforce_matches_tree_on_exact_ties(box):
+    """Both searches keep pairs at exactly ``r == 2 h`` (closed bound)
+    and list each row in increasing index order."""
+    p = _lattice()
+    fast = find_neighbors(p, support_radius=2.0, box_size=box)
+    slow = find_neighbors_bruteforce(p, support_radius=2.0, box_size=box)
+    assert np.array_equal(fast.offsets, slow.offsets)
+    assert np.array_equal(fast.neighbors, slow.neighbors)
+    # Only the exact-tie axis neighbors are inside the support: six per
+    # particle when periodic, fewer at the faces of the open lattice.
+    counts = fast.counts()
+    assert counts.max() == 6
+    if box is None:
+        assert counts.min() == 3
+    else:
+        assert np.all(counts == 6)
+
+
+def test_rows_argument_queries_a_subset():
+    p = _random_particles(80, seed=6)
+    full = find_neighbors(p, support_radius=2.0)
+    rows = np.array([0, 5, 6, 41, 79])
+    part = find_neighbors(p, support_radius=2.0, rows=rows)
+    assert part.n == len(rows)
+    for k, i in enumerate(rows):
+        assert np.array_equal(part.of(k), full.of(i))
+
+
+def test_replace_rows_splices_csr():
+    p = _random_particles(60, seed=7)
+    old = find_neighbors(p, support_radius=1.0)
+    new = find_neighbors(p, support_radius=2.0)
+    rows = np.array([0, 1, 30, 59])
+    spliced = old.replace_rows(
+        rows, find_neighbors(p, support_radius=2.0, rows=rows)
+    )
+    for i in range(p.n):
+        want = new.of(i) if i in rows else old.of(i)
+        assert np.array_equal(spliced.of(i), want)
+    everything = np.arange(p.n)
+    whole = old.replace_rows(everything, new)
+    assert np.array_equal(whole.offsets, new.offsets)
+    assert np.array_equal(whole.neighbors, new.neighbors)
