@@ -116,7 +116,7 @@ def time_loop(nside: int, steps: int, traced: bool, shard_dir: str):
         flush_s = 0.0
         if traced:
             start = time.perf_counter()
-            collector.flush_shards(backend=cluster.comm.backend)
+            collector.flush_shards()
             flush_s = time.perf_counter() - start
         return elapsed, flush_s, len(collector.events)
     finally:

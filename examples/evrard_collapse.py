@@ -7,7 +7,7 @@ one simulated rank and tracks the collapse diagnostics and the energy
 budget.
 
     python examples/evrard_collapse.py [n_particles] [steps] [--skin S]
-        [--ranks N] [--comm-backend local|process]
+        [--ranks N]
 """
 
 import argparse
@@ -45,14 +45,6 @@ def main() -> None:
         default=1,
         help="simulated MPI ranks (default %(default)s)",
     )
-    parser.add_argument(
-        "--comm-backend",
-        choices=("local", "process"),
-        default="local",
-        dest="comm_backend",
-        help="rank execution backend; 'process' runs one OS process "
-        "per rank with identical results (default %(default)s)",
-    )
     args = parser.parse_args()
     n, steps = args.n_particles, args.steps
 
@@ -70,9 +62,7 @@ def main() -> None:
         f"total {budget0.total:.4f}"
     )
 
-    cluster = Cluster(
-        mini_hpc(), n_ranks=args.ranks, comm_backend=args.comm_backend
-    )
+    cluster = Cluster(mini_hpc(), n_ranks=args.ranks)
     try:
         problem = NumericProblem(
             particles=particles,

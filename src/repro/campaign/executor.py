@@ -46,8 +46,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set
 
 from ..telemetry.events import TRACK_JOB
@@ -220,7 +219,7 @@ class CampaignExecutor:
         #: The campaign's TraceContext. Explicit, or inherited from the
         #: collector (the service configures tracing on its collector);
         #: when set, every dispatched unit gets a deterministic child
-        #: context and records per-process trace shards.
+        #: context and records per-rank trace shards.
         self.trace_context = (
             trace_context
             if trace_context is not None
@@ -763,15 +762,6 @@ def run_campaign(
         )
     spec.save(str(store.spec_path))
     cfg = config if config is not None else ExecutorConfig()
-    oversub = spec.check_oversubscription(cfg.workers)
-    if oversub is not None:
-        # Under the process backend every lane spawns ``ranks`` real OS
-        # processes; clamp the lane count so workers x ranks fits the
-        # host instead of thrashing it.
-        warnings.warn(oversub, RuntimeWarning, stacklevel=2)
-        cfg = replace(
-            cfg, workers=max(1, (os.cpu_count() or 1) // spec.ranks)
-        )
     executor = CampaignExecutor(
         store,
         config=cfg,

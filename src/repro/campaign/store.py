@@ -86,7 +86,7 @@ class RunStore:
     # -- distributed traces ----------------------------------------------------
 
     def unit_trace_dir(self, key: str) -> Path:
-        """Where a unit's per-process trace shards (and merge) live.
+        """Where a unit's per-rank trace shards (and merge) live.
 
         Created lazily, like checkpoints, so untraced campaigns leave
         the store layout untouched.

@@ -33,7 +33,6 @@ from ..core import (
     baseline_policy,
 )
 from ..faults import FaultInjector, JobPreempted, build_plan
-from ..mpi import RankDied
 from ..nvml.errors import NVMLError
 from ..pmt.base import PowerReadError
 from ..rocm.smi import RocmSmiError
@@ -98,11 +97,6 @@ def classify_error(exc: BaseException) -> str:
         severity = FrequencyController._classify(exc)
         return "transient" if severity == "transient" else "permanent"
     if isinstance(exc, (PowerReadError, JobPreempted, TimeoutError)):
-        return "transient"
-    if isinstance(exc, RankDied):
-        # A killed rank worker is the process-backend analogue of a
-        # preempted job: the unit's virtual state is unharmed and a
-        # fresh backend team makes a re-run worthwhile.
         return "transient"
     if isinstance(exc, (OSError, ConnectionError)):
         return "transient"
@@ -194,7 +188,7 @@ def execute_unit(
     With ``trace`` (a :class:`~repro.telemetry.TraceContext` dict — the
     context travels in the *call*, never inside ``config``, so the
     unit's content-addressed run key is unaffected) the run executes
-    under a :class:`~repro.telemetry.TraceCollector`: per-process
+    under a :class:`~repro.telemetry.TraceCollector`: per-rank
     shards land in ``trace_dir`` as the run ends and are merged into
     one clock-aligned ``merged.jsonl`` here; the payload's ``trace``
     field records the trace id and merged event count. A checkpointed
@@ -203,11 +197,7 @@ def execute_unit(
     that first launched it.
     """
     system = by_name(config["system"])
-    cluster = Cluster(
-        system,
-        int(config["ranks"]),
-        comm_backend=str(config.get("comm_backend", "local")),
-    )
+    cluster = Cluster(system, int(config["ranks"]))
     injector = None
     resilience = None
     restore_from = None
@@ -273,7 +263,7 @@ def execute_unit(
     if injector is not None:
         payload["faults"] = injector.summary()
     if trace_ctx is not None and trace_dir is not None:
-        # Parent-side collection: merge the per-process shards the run
+        # Parent-side collection: merge the per-rank shards the run
         # just flushed into one clock-aligned trace. A failed merge
         # loses the artifact, never the unit's result.
         try:

@@ -104,11 +104,7 @@ def _version() -> str:
 
 
 def _run_once(args, policy: FrequencyPolicy, telemetry=None):
-    cluster = Cluster(
-        by_name(args.system),
-        args.ranks,
-        comm_backend=getattr(args, "comm_backend", "local"),
-    )
+    cluster = Cluster(by_name(args.system), args.ranks)
     try:
         result = run_instrumented(
             cluster,
@@ -1223,7 +1219,7 @@ def cmd_profile_record(args) -> int:
     """Drain a campaign under one root trace context.
 
     Every unit derives a child context from the root, every rank
-    process a grandchild; the per-process shards merge into one
+    shard a grandchild; the per-rank shards merge into one
     clock-aligned ``merged.jsonl`` per unit under ``<dir>/traces/``.
     """
     if args.smoke:
@@ -1279,7 +1275,6 @@ def _profile_smoke(args) -> int:
         steps=2,
         ranks=2,
         seeds=(0, 1),
-        comm_backend="process",
     )
     collector = TraceCollector(max_events=100_000)
     context = mint_context(seed="profile-smoke")
@@ -1578,11 +1573,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="time-steps to run")
         p.add_argument("--ranks", type=int, default=1,
                        help="MPI ranks (= GPUs/GCDs)")
-        p.add_argument("--comm-backend", default="local",
-                       choices=("local", "process"), dest="comm_backend",
-                       help="rank execution backend: local (sequential, "
-                       "in-process) or process (one OS process per rank; "
-                       "see docs/parallelism.md)")
 
     run_p = sub.add_parser("run", help="run one instrumented simulation")
     common(run_p)

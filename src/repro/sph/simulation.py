@@ -122,16 +122,6 @@ class Simulation:
         initialization — covering exactly the instrumented window — and
         stops when the run finishes. When ``None`` — the default — no
         monitoring happens and the run is unchanged.
-    pace_scale:
-        Host pacing of modelled device time. When positive, each step
-        function's per-rank GPU busy time (virtual seconds) is slept on
-        the host, scaled by this factor, through the cluster's comm
-        backend: the ``local`` backend serializes the sleeps (eight
-        ranks cost eight shares of wall clock, like the rest of the
-        single-process fiction), the ``process`` backend overlaps them
-        on real rank processes. ``0.0`` — the default — paces nothing
-        and leaves wall-clock behaviour exactly as before. Pacing never
-        touches virtual state: results are bit-identical at any scale.
     """
 
     def __init__(
@@ -146,7 +136,6 @@ class Simulation:
         resilience: Optional[ResilienceConfig] = None,
         faults: Optional[FaultInjector] = None,
         monitor=None,
-        pace_scale: float = 0.0,
     ) -> None:
         self.cluster = cluster
         self.workload_name = workload_name
@@ -203,9 +192,6 @@ class Simulation:
                 monitor.bind_cluster(cluster, controller=self.controller)
             else:
                 monitor.bind_controller(self.controller)
-        if pace_scale < 0.0:
-            raise ValueError("pace_scale must be >= 0")
-        self.pace_scale = pace_scale
         self.dt_history: List[float] = []
         self._initialized = False
 
@@ -294,18 +280,13 @@ class Simulation:
             )
         finally:
             self._flush_trace_shards()
-            # Rank worker processes never outlive the run (they respawn
-            # lazily if the same simulation runs again).
-            self.cluster.comm.backend.shutdown()
 
     def _flush_trace_shards(self) -> None:
-        """Persist per-process trace shards while workers are alive.
+        """Persist the run's per-rank trace shards.
 
-        Runs before the comm backend shuts down so that, under the
-        ``process`` backend, each rank worker writes its own shard
-        over its duplex pipe. Observability must never take down a
-        run, so failures are swallowed (the run's numbers stand; only
-        the trace artifact is lost).
+        Observability must never take down a run, so failures are
+        swallowed (the run's numbers stand; only the trace artifact is
+        lost).
         """
         telemetry = self.telemetry
         if telemetry is None:
@@ -315,17 +296,9 @@ class Simulation:
         if getattr(telemetry, "shard_dir", None) is None:
             return
         try:
-            telemetry.flush_shards(backend=self.cluster.comm.backend)
+            telemetry.flush_shards()
         except Exception:
             pass
-
-    def shutdown(self) -> None:
-        """Tear down the comm backend's rank workers (idempotent).
-
-        Needed by callers that drive :meth:`_run_step` directly instead
-        of going through :meth:`run` (which tears down on exit).
-        """
-        self.cluster.comm.backend.shutdown()
 
     def _run_loop(
         self,
@@ -438,14 +411,7 @@ class Simulation:
         profiler measurements) — a checkpoint must never capture a
         half-executed step.
         """
-        backend = self.cluster.comm.backend
-        if backend.parallel and getattr(backend, "started", False):
-            # Per-rank state is gathered through the backend: a snapshot
-            # is refused while any rank worker is dead (RankDied), so a
-            # checkpoint can never capture a half-crashed team.
-            backend.check_alive()
         state: Dict[str, object] = {
-            "comm_backend": backend.name,
             "workload": self.workload_name,
             "policy": self.policy.name,
             "n_steps": int(n_steps),
@@ -566,28 +532,15 @@ class Simulation:
             self.telemetry.mark_step()
 
     def _run_function(self, fn: StepFunction) -> None:
-        comm = self.cluster.comm
         n_ranks = self.cluster.n_ranks
         for rank in range(n_ranks):
             self.hooks.fire_before(fn.name, rank)
 
         # Per-rank GPU work (each rank advances its own clock).
-        pace = self.pace_scale > 0.0
-        busy: Optional[List[float]] = [] if pace else None
         for rank in range(n_ranks):
             gpu = self.cluster.gpu_of_rank(rank)
-            clock = self.cluster.clocks[rank]
-            before = clock.now
             for launch in self.workloads[rank].launches_for(fn.name):
                 gpu.execute(launch)
-            if pace:
-                busy.append(clock.now - before)
-
-        # Pace the modelled busy time on the host: serial under the
-        # local backend, overlapped across rank processes under the
-        # process backend. Purely wall-clock — no virtual state moves.
-        if pace:
-            comm.backend.pace([b * self.pace_scale for b in busy])
 
         # Real numerics (no simulated-time cost: the GPU model carries it).
         if self.numeric is not None:
@@ -724,7 +677,6 @@ def run_instrumented(
     restore_from: Optional[str] = None,
     checkpoint_fingerprint: Optional[str] = None,
     on_step: Optional[Callable[[int], None]] = None,
-    pace_scale: float = 0.0,
 ) -> SimulationResult:
     """Convenience wrapper: build, initialize and run a simulation."""
     sim = Simulation(
@@ -738,7 +690,6 @@ def run_instrumented(
         resilience=resilience,
         faults=faults,
         monitor=monitor,
-        pace_scale=pace_scale,
     )
     return sim.run(
         n_steps,

@@ -18,27 +18,19 @@ from ..craypm import PmCounters
 from ..hardware.clock import VirtualClock
 from ..hardware.gpu import SimulatedGpu
 from ..hardware.node import ComputeNode
-from ..mpi import SimComm, make_backend
+from ..mpi import SimComm
 from ..units import mhz
 from .presets import SystemConfig
 
 
 class Cluster:
-    """Simulated allocation of ``n_ranks`` ranks on ``system`` nodes.
-
-    ``comm_backend`` selects where rank-local host work runs:
-    ``"local"`` (default, everything sequential in this process) or
-    ``"process"`` (one OS process per rank, see
-    :mod:`repro.mpi.proc`). Virtual-time results are bit-identical
-    between the two.
-    """
+    """Simulated allocation of ``n_ranks`` ranks on ``system`` nodes."""
 
     def __init__(
         self,
         system: SystemConfig,
         n_ranks: int,
         attach_management_library: bool = True,
-        comm_backend: str = "local",
     ) -> None:
         if n_ranks < 1:
             raise ValueError("need at least one rank")
@@ -85,7 +77,6 @@ class Cluster:
             self.clocks,
             model=system.comm_model,
             node_of_rank=self.node_of_rank,
-            backend=make_backend(comm_backend, n_ranks),
         )
         if attach_management_library:
             self.attach_management_library()
@@ -149,9 +140,6 @@ class Cluster:
     def detach_management_library(self) -> None:
         from .. import levelzero
 
-        # Examples and workers tear clusters down through this call;
-        # take the comm backend's rank workers with it.
-        self.comm.backend.shutdown()
         vendor = self.system.gpu_spec().vendor
         if vendor == "nvidia":
             nvml.detach_devices()

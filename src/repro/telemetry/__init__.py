@@ -21,9 +21,9 @@ those point measurements into analyzable runs, Score-P-style:
   trace-vs-:class:`EnergyReport` reconciliation check;
 * :mod:`~repro.telemetry.context` — W3C-traceparent-style
   :class:`TraceContext` correlating spans across process boundaries
-  (service request → campaign lane → rank worker), deterministically
+  (service request → campaign lane → rank shard), deterministically
   derived so traces stay bit-stable;
-* :mod:`~repro.telemetry.profile` — per-process trace shards, the
+* :mod:`~repro.telemetry.profile` — per-rank trace shards, the
   merged clock-aligned trace, and the analysis layer (critical path,
   per-kernel × per-rank attribution, flamegraph export, run diffs).
 

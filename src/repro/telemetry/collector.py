@@ -29,6 +29,7 @@ from collections import deque
 from dataclasses import replace
 from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
 
+from .chrome_trace import atomic_write_lines
 from .context import TraceContext
 from .events import (
     TRACK_CLOCKS,
@@ -48,7 +49,6 @@ from .profile import (
     partition_events,
     rank_process_span,
     shard_lines,
-    write_shard,
 )
 
 #: Default ring capacity: comfortably holds the repo's benchmark runs.
@@ -138,7 +138,7 @@ class TraceCollector:
     ) -> None:
         """Attach a :class:`TraceContext`: subsequent span/instant
         events get ``trace_id``/``span_id`` args, and (with a
-        ``shard_dir``) :meth:`flush_shards` persists per-process
+        ``shard_dir``) :meth:`flush_shards` persists per-rank
         shards at the end of the run."""
         self._context = context
         if shard_dir is not None:
@@ -153,21 +153,12 @@ class TraceCollector:
     def shard_dir(self) -> Optional[str]:
         return self._shard_dir
 
-    def flush_shards(
-        self,
-        shard_dir: Optional[str] = None,
-        backend: Optional[Any] = None,
-    ) -> List[str]:
+    def flush_shards(self, shard_dir: Optional[str] = None) -> List[str]:
         """Partition the ring into per-rank shards and persist them.
 
-        Shard *content* is computed here, in the parent, under every
-        comm backend — rank partitioning depends only on each event's
-        rank, so the bytes are backend-independent. What varies is who
-        performs the durable write: given a started parallel
-        ``backend`` with a ``write_shard`` pipe command, each rank's
-        own worker process writes its shard ("each child records its
-        own spans"); otherwise the parent writes all of them. Either
-        way every write is atomic. Returns the shard paths.
+        Rank partitioning depends only on each event's rank, so a
+        re-run writes the same bytes. Every write is atomic. Returns
+        the shard paths.
         """
         if self._context is None:
             raise RuntimeError(
@@ -181,17 +172,11 @@ class TraceCollector:
             )
         os.makedirs(directory, exist_ok=True)
         shards = partition_events(self._events)
-        use_workers = (
-            backend is not None
-            and getattr(backend, "parallel", False)
-            and hasattr(backend, "write_shard")
-        )
         written: List[str] = []
         for name in sorted(shards):
             events = shards[name]
             if name == MAIN_SHARD:
                 shard_ctx = self._context
-                rank = None
             else:
                 rank = int(name.split("-", 1)[1])
                 shard_ctx = self._context.child(name)
@@ -203,11 +188,7 @@ class TraceCollector:
                         events + [lifetime], key=event_sort_key
                     )
             path = os.path.join(directory, f"{name}.jsonl")
-            lines = shard_lines(shard_ctx, name, events)
-            if use_workers and rank is not None:
-                backend.write_shard(rank, path, lines)
-            else:
-                write_shard(path, lines)
+            atomic_write_lines(path, shard_lines(shard_ctx, name, events))
             written.append(path)
         return written
 

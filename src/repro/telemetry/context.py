@@ -4,9 +4,9 @@ A :class:`TraceContext` is the identity that ties every span of one
 logical request together: a service submission, a ``repro campaign
 run`` invocation, or a bare traced :class:`~repro.sph.Simulation.run`
 mints one **root** context at the outermost entry point, and every
-process boundary the request crosses — campaign ProcessPool lanes,
-:mod:`repro.mpi.proc` rank workers, service WAL records — carries a
-**child** context derived from it.
+boundary the request crosses — campaign ProcessPool lanes, per-rank
+trace shards, service WAL records — carries a **child** context
+derived from it.
 
 Two properties matter more here than in a wall-clock tracing system:
 
@@ -14,10 +14,9 @@ Two properties matter more here than in a wall-clock tracing system:
   timestamps make a re-run's trace compare equal float-for-float.
   Context derivation keeps that property — child span ids are content
   hashes of ``(trace_id, parent span, edge name)``, never random — so
-  the merged trace of a campaign unit is identical whether its ranks
-  ran inline (``local`` backend) or as forked OS processes
-  (``process`` backend), and a resubmitted spec reattaches to the same
-  trace identity its first submission minted.
+  a re-run of a campaign unit writes an identical merged trace, and a
+  resubmitted spec reattaches to the same trace identity its first
+  submission minted.
 * **Crash continuity.** A context survives checkpoint/restore with the
   *same* ``trace_id`` but a *new* span lineage (the restored process
   is a different span parented on the interrupted one), so a resumed

@@ -1,18 +1,15 @@
 """Distributed-trace shards, merging, and the profiling analysis layer.
 
-One traced run produces **per-process JSONL shards**: each rank worker
-(under the ``process`` comm backend) or the parent itself (``local``
-backend) persists the events belonging to its rank, stamped with the
-run's :class:`~repro.telemetry.context.TraceContext`. Shard writes are
+One traced run produces **per-rank JSONL shards**: the run persists
+the events belonging to each rank, stamped with the run's
+:class:`~repro.telemetry.context.TraceContext`. Shard writes are
 atomic (temp file + ``os.replace``), so a SIGKILL'd process leaves
 either no shard or a complete one — never a torn file.
 
-Sharding is **by rank, not by accident of process layout**: the same
-event lands in the same shard under both comm backends, and every
-timestamp is rank-local virtual time, so ``merge_shards`` produces a
-byte-identical merged trace whichever backend executed the run. That
-determinism is what makes cross-backend and pre/post-change trace
-diffs meaningful.
+Sharding is **by rank**: every timestamp is rank-local virtual time,
+so ``merge_shards`` produces a byte-identical merged trace each time
+the same run executes. That determinism is what makes re-run and
+pre/post-change trace diffs meaningful.
 
 On top of the merged trace this module implements the analysis layer:
 
@@ -43,7 +40,7 @@ from typing import (
     Tuple,
 )
 
-from .chrome_trace import atomic_write_lines, write_trace_jsonl
+from .chrome_trace import write_trace_jsonl
 from .context import TraceContext
 from .events import (
     TRACK_CLOCKS,
@@ -59,7 +56,7 @@ from .events import (
     to_record,
 )
 
-#: ``kind`` field of a per-process shard file's schema header.
+#: ``kind`` field of a per-rank shard file's schema header.
 SHARD_KIND = "trace-shard"
 
 #: File name of the merged, clock-aligned trace inside a trace dir.
@@ -112,8 +109,8 @@ def rank_process_span(
     """The rank's own lifetime span, covering its shard's window.
 
     Derived purely from the (deterministic) rank context and the
-    virtual-time window of the rank's events, so the local and process
-    backends synthesize identical spans.
+    virtual-time window of the rank's events, so re-runs synthesize
+    identical spans.
     """
     if not events:
         return None
@@ -154,24 +151,13 @@ def shard_header(
 def shard_lines(
     context: TraceContext, shard: str, events: Sequence[TraceEvent]
 ) -> List[str]:
-    """Serialized shard content: header line + one line per event.
-
-    This is the exact byte payload a rank worker receives over its
-    duplex pipe and persists; computing it in one place guarantees the
-    parent (local backend) and the workers (process backend) write
-    identical shards.
-    """
+    """Serialized shard content: header line + one line per event."""
     lines = [json.dumps(shard_header(context, shard, len(events)),
                         sort_keys=True)]
     lines.extend(
         json.dumps(to_record(e), sort_keys=True) for e in events
     )
     return lines
-
-
-def write_shard(path: str, lines: Sequence[str]) -> None:
-    """Atomically persist one shard (temp file + ``os.replace``)."""
-    atomic_write_lines(path, lines)
 
 
 def read_trace_shard(path: str) -> Tuple[Dict[str, Any], List[TraceEvent]]:

@@ -151,6 +151,9 @@ def test_round_trip_preserves_grid(tmp_path):
 def test_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown campaign spec keys"):
         CampaignSpec.from_dict({"name": "t", "color": "red"})
+    # The removed rank-execution knob is an unknown key like any other.
+    with pytest.raises(ValueError, match="'comm_backend'"):
+        CampaignSpec.from_dict({"name": "t", "comm_backend": "process"})
 
 
 def test_from_dict_rejects_wrong_schema():

@@ -208,15 +208,15 @@ def test_workload_mismatch_refuses_restore(tmp_path):
         other.run(4, restore_from=ckpt)
 
 
-def _numeric_sim():
+def _numeric_sim(n_ranks=2):
     cfg = SedovConfig(nside=6, seed=11)
     parts = make_sedov(cfg)
     numeric = NumericProblem(
-        particles=parts, n_ranks=2, eos=make_sedov_eos(cfg),
+        particles=parts, n_ranks=n_ranks, eos=make_sedov_eos(cfg),
         box_size=cfg.box_size, skin=0.2,
     )
     return Simulation(
-        Cluster(mini_hpc(), 2), "SedovBlast", parts.n, numeric=numeric
+        Cluster(mini_hpc(), n_ranks), "SedovBlast", parts.n, numeric=numeric
     )
 
 
@@ -228,10 +228,21 @@ def _digest(sim):
     )
 
 
-def test_numeric_resume_is_bit_exact_with_verlet_skin(tmp_path):
+@pytest.mark.parametrize(
+    "n_ranks, legacy_backend_key",
+    [
+        pytest.param(2, False, id="2-ranks"),
+        pytest.param(8, False, id="8-ranks"),
+        pytest.param(8, True, id="8-ranks-legacy-comm-backend-key"),
+    ],
+)
+def test_numeric_resume_is_bit_exact_with_verlet_skin(
+    tmp_path, n_ranks, legacy_backend_key
+):
     """The wide neighbor list survives the snapshot: resumed FP
-    summation order matches the uninterrupted run exactly."""
-    ref = _numeric_sim()
+    summation order matches the uninterrupted run exactly. Older
+    checkpoints recorded a ``comm_backend`` key; restore ignores it."""
+    ref = _numeric_sim(n_ranks)
     ref_res = ref.run(6)
 
     ckpt = str(tmp_path / "c.json")
@@ -245,12 +256,16 @@ def test_numeric_resume_is_bit_exact_with_verlet_skin(tmp_path):
         if step == 4:
             raise _Killed()
 
-    killed = _numeric_sim()
+    killed = _numeric_sim(n_ranks)
     with pytest.raises(_Killed):
         killed.run(6, checkpoint_every=3, checkpoint_path=ckpt,
                    on_step=kill)
+    state = read_checkpoint(ckpt)
+    assert "comm_backend" not in state
+    if legacy_backend_key:
+        write_checkpoint(ckpt, {**state, "comm_backend": "process"})
 
-    resumed = _numeric_sim()
+    resumed = _numeric_sim(n_ranks)
     res = resumed.run(6, restore_from=ckpt)
     assert res.resumed_from_step == 3
     assert res.gpu_energy_j == ref_res.gpu_energy_j

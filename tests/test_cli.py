@@ -43,11 +43,17 @@ def test_run_static_requires_freq():
         main(["run", "--policy", "static", "--steps", "1"])
 
 
-def test_run_unknown_policy_and_workload():
+def test_run_unknown_policy_and_workload(capsys):
     with pytest.raises(SystemExit):
         main(["run", "--policy", "chaotic"])
     with pytest.raises(SystemExit):
         main(["run", "--workload", "sedov-not-a-workload"])
+    capsys.readouterr()
+    # The removed rank-execution flag is an argparse usage error.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--comm-backend", "process"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --comm-backend" in capsys.readouterr().err
 
 
 def test_run_writes_report(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.hardware import VirtualClock
-from repro.mpi import CommModel, LocalBackend, MpiError, SimComm, make_backend
+from repro.mpi import CommModel, MpiError, SimComm
 
 
 def _comm(n=4, node_of_rank=None):
@@ -179,22 +179,6 @@ def test_stats_state_roundtrip_keeps_rank_waits():
     del state["rank_wait_s"]
     comm2.stats.restore_state(state)
     assert comm2.stats.rank_wait_s == []
-
-
-def test_make_backend_selects_and_rejects():
-    assert isinstance(make_backend("local", 2), LocalBackend)
-    backend = make_backend("process", 2)
-    assert backend.name == "process" and backend.parallel
-    with pytest.raises(MpiError):
-        make_backend("threads", 2)
-
-
-def test_local_backend_paces_serially():
-    backend = LocalBackend()
-    assert not backend.parallel
-    wall = backend.pace([0.0, 0.0, 0.0])
-    assert wall >= 0.0
-    backend.shutdown()  # no-op, must not raise
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=2, max_size=8))

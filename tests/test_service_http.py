@@ -161,6 +161,13 @@ def test_invalid_submissions_get_400(tmp_path):
         assert status == 400
         assert "invalid campaign spec" in doc["error"]
 
+        status, _, doc = await request_json(
+            server, "POST", "/campaigns",
+            body={**spec_doc(), "comm_backend": "process"},
+        )
+        assert status == 400
+        assert "comm_backend" in doc["error"]
+
         reader, writer = await asyncio.open_connection(
             server.host, server.port
         )

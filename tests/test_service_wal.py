@@ -209,6 +209,38 @@ def test_restart_resumes_job_recorded_as_running(tmp_path):
     asyncio.run(asyncio.wait_for(main(), timeout=120))
 
 
+def test_replay_skips_journaled_spec_with_removed_key(tmp_path):
+    """A WAL written by an older build may journal a spec carrying the
+    removed ``comm_backend`` key: replay counts it as a replay error
+    and still recovers the tenant's other jobs."""
+    root = tmp_path / "service-root"
+
+    async def main():
+        service = CampaignService(ServiceConfig(root=str(root)))
+        await service.start()
+        job, _ = service.submit("alice", spec_doc())
+        while not job.terminal:
+            await asyncio.sleep(0.02)
+        await service.close()
+
+        wal = JobWal(str(root / "tenants" / "alice" / JOB_WAL_NAME))
+        legacy = {**spec_doc(name="legacy"), "comm_backend": "process"}
+        wal.record_submit("c-legacy", "alice", legacy)
+
+        reborn = CampaignService(ServiceConfig(root=str(root)))
+        await reborn.start()
+        try:
+            counter = reborn.metrics.counter("service_wal_replay_errors")
+            assert counter.value == 1.0
+            assert reborn.recovered_ids == [job.id]
+            assert reborn.job(job.id).state == "done"
+            assert "c-legacy" not in reborn.jobs
+        finally:
+            await reborn.close()
+
+    asyncio.run(asyncio.wait_for(main(), timeout=120))
+
+
 def test_draining_service_refuses_submissions(tmp_path):
     async def main():
         service = CampaignService(
