@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.core import ManDynPolicy, StaticFrequencyPolicy, baseline_policy
 from repro.reporting import render_table
-from repro.systems import Cluster, lumi_g
+from repro.systems import Cluster, by_name
 from repro.tuner import tune_all_sph_functions
 from repro.units import to_mhz
 
@@ -25,7 +25,7 @@ STATIC_LOW_MHZ = 1200.0
 def bench_ablation_amd_mandyn(benchmark):
     def experiment():
         # Tune on one GCD: the MI250X window 1200..1700 MHz.
-        cluster = Cluster(lumi_g(), 1)
+        cluster = Cluster(by_name("LUMI-G"), 1)
         try:
             gpu = cluster.gpus[0]
             hi = int(to_mhz(gpu.spec.max_clock_hz))
@@ -38,15 +38,15 @@ def bench_ablation_amd_mandyn(benchmark):
 
         runs = {
             "baseline 1700": run_simulation(
-                lumi_g(), 8, "SubsonicTurbulence", N_PER_GCD,
+                by_name("LUMI-G"), 8, "SubsonicTurbulence", N_PER_GCD,
                 baseline_policy(1700.0),
             ),
             f"static {STATIC_LOW_MHZ:.0f}": run_simulation(
-                lumi_g(), 8, "SubsonicTurbulence", N_PER_GCD,
+                by_name("LUMI-G"), 8, "SubsonicTurbulence", N_PER_GCD,
                 StaticFrequencyPolicy(STATIC_LOW_MHZ),
             ),
             "ManDyn (tuned)": run_simulation(
-                lumi_g(), 8, "SubsonicTurbulence", N_PER_GCD,
+                by_name("LUMI-G"), 8, "SubsonicTurbulence", N_PER_GCD,
                 ManDynPolicy.from_tuning(tuned, default_mhz=1700.0),
             ),
         }

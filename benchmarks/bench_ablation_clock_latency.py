@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.core import ManDynPolicy, baseline_policy
 from repro.hardware.gpu import SimulatedGpu
 from repro.reporting import render_table
-from repro.systems import mini_hpc
+from repro.systems import by_name
 
 from _harness import run_simulation
 
@@ -33,13 +33,13 @@ def bench_ablation_clock_latency(benchmark):
         rows = {}
         try:
             base = run_simulation(
-                mini_hpc(), 1, "SubsonicTurbulence", N,
+                by_name("miniHPC"), 1, "SubsonicTurbulence", N,
                 baseline_policy(1410),
             )
             for latency in LATENCIES_S:
                 SimulatedGpu.CLOCK_SET_LATENCY_S = latency
                 res = run_simulation(
-                    mini_hpc(), 1, "SubsonicTurbulence", N,
+                    by_name("miniHPC"), 1, "SubsonicTurbulence", N,
                     ManDynPolicy(MANDYN, default_mhz=1005.0),
                 )
                 rows[latency] = (

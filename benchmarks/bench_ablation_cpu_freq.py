@@ -14,7 +14,7 @@ from repro.hardware import KernelLaunch
 from repro.reporting import render_table
 from repro.slurm import JobSpec, SlurmController
 from repro.sph import run_instrumented
-from repro.systems import Cluster, cscs_a100
+from repro.systems import Cluster, by_name
 
 N_PER_GPU = 150.0e6
 STEPS = 5
@@ -22,7 +22,7 @@ CPU_FREQS_KHZ = (2_450_000, 2_000_000, 1_800_000, 1_500_000)
 
 
 def _run(cpu_freq_khz):
-    cluster = Cluster(cscs_a100(), 4)
+    cluster = Cluster(by_name("CSCS-A100"), 4)
     controller = SlurmController()
     controller.accounting.enable_energy_accounting()
     captured = {}

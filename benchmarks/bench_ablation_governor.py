@@ -20,7 +20,7 @@ import dataclasses
 
 from repro.core import DvfsPolicy, baseline_policy
 from repro.reporting import render_table
-from repro.systems import mini_hpc
+from repro.systems import by_name
 from repro.units import mhz, to_mhz
 
 from _harness import run_simulation
@@ -31,23 +31,22 @@ FLOORS = (0.35, 0.55, 0.75)
 
 
 def _system_with_governor(margin_mhz: float, floor: float):
-    system = mini_hpc()
-    base_gpu = system.gpu_spec()
+    system = by_name("miniHPC")
+    base_gpu = system.gpu_spec
     governor = dataclasses.replace(
         base_gpu.governor,
         voltage_margin_hz=mhz(margin_mhz),
         launch_presence_floor=floor,
     )
-    gpu_spec = dataclasses.replace(base_gpu, governor=governor)
     return dataclasses.replace(
-        system, gpu_spec_factory=lambda spec=gpu_spec: spec
+        system, gpu_spec=dataclasses.replace(base_gpu, governor=governor)
     )
 
 
 def bench_ablation_governor(benchmark):
     def experiment():
         base = run_simulation(
-            mini_hpc(), 1, "SubsonicTurbulence", N, baseline_policy(1410)
+            by_name("miniHPC"), 1, "SubsonicTurbulence", N, baseline_policy(1410)
         )
         margin_rows = {}
         for margin in MARGINS_MHZ:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.core import ManDynPolicy, StaticFrequencyPolicy, baseline_policy
 from repro.reporting import render_table
-from repro.systems import Cluster, aurora_pvc
+from repro.systems import Cluster, by_name
 from repro.tuner import tune_all_sph_functions
 
 from _harness import run_simulation
@@ -20,7 +20,7 @@ N_PER_GPU = 30.0e6
 
 def bench_ablation_intel_mandyn(benchmark):
     def experiment():
-        cluster = Cluster(aurora_pvc(), 1)
+        cluster = Cluster(by_name("Aurora-PVC"), 1)
         try:
             freqs = list(range(1600, 999, -100))
             tuned = tune_all_sph_functions(
@@ -31,15 +31,15 @@ def bench_ablation_intel_mandyn(benchmark):
 
         runs = {
             "baseline 1600": run_simulation(
-                aurora_pvc(), 6, "SubsonicTurbulence", N_PER_GPU,
+                by_name("Aurora-PVC"), 6, "SubsonicTurbulence", N_PER_GPU,
                 baseline_policy(1600.0),
             ),
             "static 1000": run_simulation(
-                aurora_pvc(), 6, "SubsonicTurbulence", N_PER_GPU,
+                by_name("Aurora-PVC"), 6, "SubsonicTurbulence", N_PER_GPU,
                 StaticFrequencyPolicy(1000.0),
             ),
             "ManDyn (tuned)": run_simulation(
-                aurora_pvc(), 6, "SubsonicTurbulence", N_PER_GPU,
+                by_name("Aurora-PVC"), 6, "SubsonicTurbulence", N_PER_GPU,
                 ManDynPolicy.from_tuning(tuned, default_mhz=1600.0),
             ),
         }

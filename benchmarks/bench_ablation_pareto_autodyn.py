@@ -27,7 +27,7 @@ from repro.core import (
     pareto_analysis,
 )
 from repro.reporting import render_table
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 from repro.sph import run_instrumented
 
 N = 450**3
@@ -37,7 +37,7 @@ CANDIDATES = (1410.0, 1200.0, 1005.0)
 
 
 def _run(policy_factory):
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     try:
         policy = policy_factory(cluster)
         result = run_instrumented(

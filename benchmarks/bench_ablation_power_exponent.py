@@ -15,7 +15,7 @@ import dataclasses
 
 from repro.core import ManDynPolicy, baseline_policy
 from repro.reporting import render_table
-from repro.systems import mini_hpc
+from repro.systems import by_name
 
 from _harness import run_simulation
 
@@ -29,11 +29,9 @@ MANDYN = {
 
 
 def _system_with_alpha(alpha: float):
-    system = mini_hpc()
-    gpu_spec = dataclasses.replace(system.gpu_spec(), power_exponent=alpha)
-    return dataclasses.replace(
-        system, gpu_spec_factory=lambda spec=gpu_spec: spec
-    )
+    system = by_name("miniHPC")
+    gpu_spec = dataclasses.replace(system.gpu_spec, power_exponent=alpha)
+    return dataclasses.replace(system, gpu_spec=gpu_spec)
 
 
 def bench_ablation_power_exponent(benchmark):

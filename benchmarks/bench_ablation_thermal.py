@@ -17,7 +17,7 @@ import dataclasses
 from repro.core import ManDynPolicy, baseline_policy
 from repro.hardware import ThermalSpec
 from repro.reporting import render_table
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 from repro.sph import run_instrumented
 
 N = 450**3
@@ -41,11 +41,9 @@ HOT_THERMAL = ThermalSpec(
 
 
 def _hot_system():
-    system = mini_hpc()
-    gpu_spec = dataclasses.replace(system.gpu_spec(), thermal=HOT_THERMAL)
-    return dataclasses.replace(
-        system, gpu_spec_factory=lambda spec=gpu_spec: spec
-    )
+    system = by_name("miniHPC")
+    gpu_spec = dataclasses.replace(system.gpu_spec, thermal=HOT_THERMAL)
+    return dataclasses.replace(system, gpu_spec=gpu_spec)
 
 
 def _run(system, policy):
@@ -63,7 +61,7 @@ def _run(system, policy):
 def bench_ablation_thermal(benchmark):
     def experiment():
         out = {}
-        out["cool baseline"] = _run(mini_hpc(), baseline_policy(1410))
+        out["cool baseline"] = _run(by_name("miniHPC"), baseline_policy(1410))
         out["hot baseline"] = _run(_hot_system(), baseline_policy(1410))
         out["hot ManDyn"] = _run(
             _hot_system(), ManDynPolicy(MANDYN, default_mhz=1005.0)

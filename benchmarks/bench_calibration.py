@@ -66,7 +66,7 @@ def measure(names):
     systems = {}
     for name in names:
         system = by_name(name)
-        spec = system.gpu_spec()
+        spec = system.gpu_spec
         with tempfile.TemporaryDirectory(prefix="bench-cal-") as tmp:
             t0 = time.perf_counter()
             result = run_calibration_sweep(system, tmp)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro import nvml
 from repro.reporting import render_table
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 from repro.tuner import tune_all_sph_functions
 
 PROBLEM_SIZE = 450**3
@@ -19,7 +19,7 @@ PROBLEM_SIZE = 450**3
 
 def bench_fig2_kerneltuner_frequencies(benchmark):
     def experiment():
-        cluster = Cluster(mini_hpc(), 1)
+        cluster = Cluster(by_name("miniHPC"), 1)
         try:
             handle = nvml.nvmlDeviceGetHandleByIndex(0)
             freqs = nvml.supported_clock_window_mhz(handle, 1005, 1410)

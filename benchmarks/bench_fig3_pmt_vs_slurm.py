@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.reporting import render_series
 from repro.slurm import JobSpec, SlurmController
 from repro.sph import run_instrumented
-from repro.systems import Cluster, cscs_a100, lumi_g
+from repro.systems import Cluster, by_name
 
 from _harness import BENCH_STEPS
 
@@ -58,9 +58,9 @@ def bench_fig3_pmt_vs_slurm(benchmark):
     def experiment():
         data = {}
         for n in CSCS_GPUS:
-            data[("CSCS-A100", n)] = _measure(cscs_a100(), n)
+            data[("CSCS-A100", n)] = _measure(by_name("CSCS-A100"), n)
         for n in LUMI_GCDS:
-            data[("LUMI-G", n)] = _measure(lumi_g(), n)
+            data[("LUMI-G", n)] = _measure(by_name("LUMI-G"), n)
         return data
 
     data = benchmark(experiment)

@@ -11,17 +11,17 @@ from __future__ import annotations
 
 from repro.core import device_breakdown_percent
 from repro.reporting import render_table
-from repro.systems import cscs_a100, lumi_g
+from repro.systems import by_name
 from repro.units import megajoules
 
 from _harness import BENCH_STEPS, run_simulation_with_cluster, to_paper_scale
 
 RUNS = [
-    # (label, system factory, workload, particles/GPU, paper MJ)
-    ("LUMI-Turb", lumi_g, "SubsonicTurbulence", 150.0e6, 24.4),
-    ("LUMI-Evr", lumi_g, "EvrardCollapse", 80.0e6, 15.2),
-    ("CSCS-A100-Turb", cscs_a100, "SubsonicTurbulence", 150.0e6, 12.5),
-    ("CSCS-A100-Evr", cscs_a100, "EvrardCollapse", 80.0e6, 10.7),
+    # (label, system, workload, particles/GPU, paper MJ)
+    ("LUMI-Turb", "LUMI-G", "SubsonicTurbulence", 150.0e6, 24.4),
+    ("LUMI-Evr", "LUMI-G", "EvrardCollapse", 80.0e6, 15.2),
+    ("CSCS-A100-Turb", "CSCS-A100", "SubsonicTurbulence", 150.0e6, 12.5),
+    ("CSCS-A100-Evr", "CSCS-A100", "EvrardCollapse", 80.0e6, 10.7),
 ]
 
 N_RANKS = 32
@@ -32,7 +32,7 @@ def bench_fig4_device_energy_breakdown(benchmark):
         out = {}
         for label, system, workload, n_per_gpu, paper_mj in RUNS:
             result, cluster = run_simulation_with_cluster(
-                system(), N_RANKS, workload, n_per_gpu
+                by_name(system), N_RANKS, workload, n_per_gpu
             )
             breakdown = device_breakdown_percent(result.report)
             total_mj = megajoules(

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 from repro.core import function_share_percent, per_function_metrics
 from repro.reporting import render_table
-from repro.systems import cscs_a100, lumi_g
+from repro.systems import by_name
 
 from _harness import run_simulation
 
 RUNS = [
-    ("LUMI-Turb", lumi_g, "SubsonicTurbulence", 150.0e6),
-    ("LUMI-Evr", lumi_g, "EvrardCollapse", 80.0e6),
-    ("CSCS-A100-Turb", cscs_a100, "SubsonicTurbulence", 150.0e6),
-    ("CSCS-A100-Evr", cscs_a100, "EvrardCollapse", 80.0e6),
+    ("LUMI-Turb", "LUMI-G", "SubsonicTurbulence", 150.0e6),
+    ("LUMI-Evr", "LUMI-G", "EvrardCollapse", 80.0e6),
+    ("CSCS-A100-Turb", "CSCS-A100", "SubsonicTurbulence", 150.0e6),
+    ("CSCS-A100-Evr", "CSCS-A100", "EvrardCollapse", 80.0e6),
 ]
 
 N_RANKS = 32
@@ -30,7 +30,7 @@ def bench_fig5_function_energy_breakdown(benchmark):
     def experiment():
         out = {}
         for label, system, workload, n_per_gpu in RUNS:
-            result = run_simulation(system(), N_RANKS, workload, n_per_gpu)
+            result = run_simulation(by_name(system), N_RANKS, workload, n_per_gpu)
             out[label] = result.report
         return out
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from repro.core import StaticFrequencyPolicy, baseline_policy
 from repro.reporting import render_series
-from repro.systems import mini_hpc
 from repro.sph import max_particles_per_gpu
+from repro.systems import by_name
 from repro.units import GIB
 
 from _harness import run_simulation
@@ -35,7 +35,7 @@ def bench_fig6_static_edp_problem_size(benchmark):
         series = {}
         for label, n in SIZES.items():
             base = run_simulation(
-                mini_hpc(), 1, "SubsonicTurbulence", n,
+                by_name("miniHPC"), 1, "SubsonicTurbulence", n,
                 baseline_policy(1410),
             )
             series[label] = {}
@@ -44,7 +44,7 @@ def bench_fig6_static_edp_problem_size(benchmark):
                     run = base
                 else:
                     run = run_simulation(
-                        mini_hpc(), 1, "SubsonicTurbulence", n,
+                        by_name("miniHPC"), 1, "SubsonicTurbulence", n,
                         StaticFrequencyPolicy(f),
                     )
                 series[label][f] = run.edp / base.edp

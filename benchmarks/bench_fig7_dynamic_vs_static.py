@@ -20,7 +20,7 @@ from repro.core import (
     baseline_policy,
 )
 from repro.reporting import render_table
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 from repro.tuner import tune_all_sph_functions
 
 from _harness import run_simulation
@@ -30,7 +30,7 @@ STATIC_FREQS = (1305, 1200, 1110, 1005)
 
 
 def _tuned_policy():
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     try:
         freqs = [1410 - 15 * k for k in range(0, 28, 3)]
         best = tune_all_sph_functions(
@@ -46,18 +46,18 @@ def bench_fig7_dynamic_vs_static(benchmark):
         mandyn, tuned = _tuned_policy()
         runs = {}
         runs["1410 (base)"] = run_simulation(
-            mini_hpc(), 1, "SubsonicTurbulence", N, baseline_policy(1410)
+            by_name("miniHPC"), 1, "SubsonicTurbulence", N, baseline_policy(1410)
         )
         for f in STATIC_FREQS:
             runs[str(f)] = run_simulation(
-                mini_hpc(), 1, "SubsonicTurbulence", N,
+                by_name("miniHPC"), 1, "SubsonicTurbulence", N,
                 StaticFrequencyPolicy(f),
             )
         runs["DVFS"] = run_simulation(
-            mini_hpc(), 1, "SubsonicTurbulence", N, DvfsPolicy()
+            by_name("miniHPC"), 1, "SubsonicTurbulence", N, DvfsPolicy()
         )
         runs["ManDyn"] = run_simulation(
-            mini_hpc(), 1, "SubsonicTurbulence", N, mandyn
+            by_name("miniHPC"), 1, "SubsonicTurbulence", N, mandyn
         )
         return runs, tuned
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.core import StaticFrequencyPolicy, baseline_policy, per_function_metrics
 from repro.reporting import render_table
-from repro.systems import mini_hpc
+from repro.systems import by_name
 
 from _harness import run_simulation
 
@@ -24,12 +24,12 @@ COMPUTE_BOUND = ("MomentumEnergy", "IADVelocityDivCurl")
 def bench_fig8_per_function_static_scaling(benchmark):
     def experiment():
         base = run_simulation(
-            mini_hpc(), 1, "SubsonicTurbulence", N, baseline_policy(1410)
+            by_name("miniHPC"), 1, "SubsonicTurbulence", N, baseline_policy(1410)
         )
         runs = {1410: base}
         for f in FREQS:
             runs[f] = run_simulation(
-                mini_hpc(), 1, "SubsonicTurbulence", N,
+                by_name("miniHPC"), 1, "SubsonicTurbulence", N,
                 StaticFrequencyPolicy(f),
             )
         return {f: per_function_metrics(r.report) for f, r in runs.items()}

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core import DvfsPolicy
 from repro.reporting import render_table
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 from repro.sph import Simulation
 
 N = 450**3
@@ -24,7 +24,7 @@ STEPS = 10
 
 def bench_fig9_dvfs_trace(benchmark):
     def experiment():
-        cluster = Cluster(mini_hpc(), 1)
+        cluster = Cluster(by_name("miniHPC"), 1)
         try:
             sim = Simulation(
                 cluster, "SubsonicTurbulence", N, policy=DvfsPolicy()

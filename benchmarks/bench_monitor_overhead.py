@@ -71,11 +71,11 @@ def build_sim(nside: int):
     """One numeric Sedov Simulation on miniHPC (caller detaches)."""
     from repro.sph import NumericProblem, Simulation
     from repro.sph.init import SedovConfig, make_sedov, make_sedov_eos
-    from repro.systems import Cluster, mini_hpc
+    from repro.systems import Cluster, by_name
 
     cfg = SedovConfig(nside=nside, blast_energy=1.0, seed=SEED)
     particles = make_sedov(cfg)
-    cluster = Cluster(mini_hpc(), n_ranks=1)
+    cluster = Cluster(by_name("miniHPC"), n_ranks=1)
     problem = NumericProblem(
         particles=particles,
         n_ranks=1,
@@ -124,11 +124,12 @@ def time_loop(nside: int, steps: int, period_s: float | None):
 
 def per_sample_cost_us(n_samples: int = 2_000) -> float:
     """Absolute cost of one sampler tick, measured standalone."""
-    from repro.hardware import SimulatedGpu, VirtualClock, a100_pcie_40gb
+    from repro.hardware import SimulatedGpu, VirtualClock
     from repro.monitor import AlertEngine, DeviceSampler, default_rules
+    from repro.systems import by_name
 
     clock = VirtualClock()
-    gpu = SimulatedGpu(a100_pcie_40gb(), clock)
+    gpu = SimulatedGpu(by_name("miniHPC").gpu_spec, clock)
     sampler = DeviceSampler(
         [gpu], [clock], period_s=0.01,
         alerts=AlertEngine(default_rules(gpu_spec=gpu.spec)),

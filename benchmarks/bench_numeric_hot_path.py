@@ -62,11 +62,11 @@ def run_case(nside: int, steps: int, skin: float) -> dict:
     """Run ``steps`` instrumented Sedov steps; return throughput stats."""
     from repro.sph import NumericProblem, Simulation
     from repro.sph.init import SedovConfig, make_sedov, make_sedov_eos
-    from repro.systems import Cluster, mini_hpc
+    from repro.systems import Cluster, by_name
 
     cfg = SedovConfig(nside=nside, blast_energy=1.0, seed=SEED)
     particles = make_sedov(cfg)
-    cluster = Cluster(mini_hpc(), n_ranks=1)
+    cluster = Cluster(by_name("miniHPC"), n_ranks=1)
     try:
         problem = NumericProblem(
             particles=particles,

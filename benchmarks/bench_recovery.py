@@ -50,7 +50,7 @@ import numpy as np  # noqa: E402
 from repro.checkpoint import read_checkpoint  # noqa: E402
 from repro.sph import NumericProblem, Simulation  # noqa: E402
 from repro.sph.init import SedovConfig, make_sedov, make_sedov_eos  # noqa: E402
-from repro.systems import Cluster, mini_hpc  # noqa: E402
+from repro.systems import Cluster, by_name  # noqa: E402
 
 ARTIFACT = REPO_ROOT / "BENCH_recovery.json"
 
@@ -75,7 +75,7 @@ def _make_sim(nside: int, seed: int) -> Simulation:
         box_size=cfg.box_size,
         skin=0.2,
     )
-    cluster = Cluster(mini_hpc(), 2)
+    cluster = Cluster(by_name("miniHPC"), 2)
     return Simulation(
         cluster, "SedovBlast", parts.n, numeric=numeric
     )

@@ -31,7 +31,7 @@ def bench_table1_systems(benchmark):
         rows = []
         for name in ("LUMI-G", "CSCS-A100", "miniHPC"):
             system = by_name(name)
-            gpu = system.gpu_spec()
+            gpu = system.gpu_spec
             cpu = system.cpu_spec
             rows.append(
                 [

@@ -67,11 +67,11 @@ def build_sim(nside: int, telemetry=None):
     """One numeric Sedov Simulation on miniHPC (caller detaches)."""
     from repro.sph import NumericProblem, Simulation
     from repro.sph.init import SedovConfig, make_sedov, make_sedov_eos
-    from repro.systems import Cluster, mini_hpc
+    from repro.systems import Cluster, by_name
 
     cfg = SedovConfig(nside=nside, blast_energy=1.0, seed=SEED)
     particles = make_sedov(cfg)
-    cluster = Cluster(mini_hpc(), n_ranks=1)
+    cluster = Cluster(by_name("miniHPC"), n_ranks=1)
     problem = NumericProblem(
         particles=particles,
         n_ranks=1,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.reporting import render_table
-from repro.systems import cscs_a100
+from repro.systems import by_name
 
 from _harness import BENCH_STEPS, run_simulation
 
@@ -27,7 +27,7 @@ def bench_weak_scaling(benchmark):
         out = {}
         for ranks in RANK_COUNTS:
             res = run_simulation(
-                cscs_a100(), ranks, "SubsonicTurbulence", N_PER_GPU
+                by_name("CSCS-A100"), ranks, "SubsonicTurbulence", N_PER_GPU
             )
             out[ranks] = res
         return out

@@ -26,7 +26,7 @@ from repro.core import (
 )
 from repro.reporting import render_table
 from repro.sph import run_instrumented
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 from repro.tuner import tune_all_sph_functions
 
 N = 450**3
@@ -34,7 +34,7 @@ CANDIDATES = [1410.0, 1305.0, 1200.0, 1110.0, 1005.0]
 
 
 def run(policy, steps=6):
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     try:
         result = run_instrumented(
             cluster, "SubsonicTurbulence", N, steps, policy=policy
@@ -46,7 +46,7 @@ def run(policy, steps=6):
 
 def main() -> None:
     # Route 0 (the paper's): full offline sweep, for reference.
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     try:
         sweep = tune_all_sph_functions(
             cluster.gpus[0], N, CANDIDATES, iterations=2
@@ -63,7 +63,7 @@ def main() -> None:
     two_run = recommend_frequencies(characters, CANDIDATES)
 
     # Route 2: online tuning in one run.
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     try:
         auto_policy = OnlineTuningPolicy(
             cluster.gpus, candidates_mhz=(1410.0, 1200.0, 1005.0),

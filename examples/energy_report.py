@@ -23,12 +23,12 @@ from repro.core import (
 from repro.reporting import render_breakdown, render_table
 from repro.slurm import JobSpec, SlurmController
 from repro.sph import run_instrumented
-from repro.systems import Cluster, cscs_a100
+from repro.systems import Cluster, by_name
 from repro.units import format_energy
 
 
 def main() -> None:
-    cluster = Cluster(cscs_a100(), n_ranks=8)
+    cluster = Cluster(by_name("CSCS-A100"), n_ranks=8)
     controller = SlurmController()
     controller.accounting.enable_energy_accounting()
     captured = {}

@@ -24,7 +24,7 @@ from repro.sph.init import (
     make_evrard_gravity,
 )
 from repro.sph.observables import density_contrast, energy_budget, half_mass_radius
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 from repro.units import format_energy, format_time
 
 
@@ -62,7 +62,7 @@ def main() -> None:
         f"total {budget0.total:.4f}"
     )
 
-    cluster = Cluster(mini_hpc(), n_ranks=args.ranks)
+    cluster = Cluster(by_name("miniHPC"), n_ranks=args.ranks)
     try:
         problem = NumericProblem(
             particles=particles,

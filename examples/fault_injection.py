@@ -17,7 +17,7 @@ import sys
 from repro.core import ManDynPolicy, ResilienceConfig
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.sph import run_instrumented
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 from repro.telemetry import TRACK_FAULTS, TraceCollector
 
 
@@ -46,7 +46,7 @@ def main() -> None:
     print(plan.describe())
     print()
 
-    cluster = Cluster(mini_hpc(), n_ranks)
+    cluster = Cluster(by_name("miniHPC"), n_ranks)
     collector = TraceCollector.for_cluster(cluster)
     injector = FaultInjector(plan)
     policy = ManDynPolicy(

@@ -10,12 +10,12 @@ frequency scaling — and prints the headline comparison.
 
 from repro.core import ManDynPolicy, baseline_policy
 from repro.sph import run_instrumented
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 from repro.units import format_energy, format_time
 
 
 def run(policy):
-    cluster = Cluster(mini_hpc(), n_ranks=1)
+    cluster = Cluster(by_name("miniHPC"), n_ranks=1)
     try:
         return run_instrumented(
             cluster,

@@ -21,7 +21,7 @@ from repro.sph.init import (
     make_sedov_eos,
     shock_radius,
 )
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 from repro.units import format_energy, format_time
 
 
@@ -53,7 +53,7 @@ def main() -> None:
     )
     e0 = particles.internal_energy()
 
-    cluster = Cluster(mini_hpc(), n_ranks=args.ranks)
+    cluster = Cluster(by_name("miniHPC"), n_ranks=args.ranks)
     try:
         problem = NumericProblem(
             particles=particles,

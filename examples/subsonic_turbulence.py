@@ -23,7 +23,7 @@ from repro.sph.init import (
     make_turbulence_eos,
 )
 from repro.sph.observables import rms_mach
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 from repro.units import format_energy, format_time
 
 
@@ -38,7 +38,7 @@ def main() -> None:
         f"({nside}^3), target Mach {cfg.mach_rms}, {steps} steps"
     )
 
-    cluster = Cluster(mini_hpc(), n_ranks=2)
+    cluster = Cluster(by_name("miniHPC"), n_ranks=2)
     try:
         problem = NumericProblem(
             particles=particles,

@@ -14,7 +14,7 @@ import sys
 
 from repro.core import ManDynPolicy
 from repro.sph import run_instrumented
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 from repro.telemetry import TraceCollector, render_summary, write_chrome_trace
 
 
@@ -22,7 +22,7 @@ def main() -> None:
     n_ranks = int(sys.argv[1]) if len(sys.argv) > 1 else 2
     n_steps = int(sys.argv[2]) if len(sys.argv) > 2 else 4
 
-    cluster = Cluster(mini_hpc(), n_ranks)
+    cluster = Cluster(by_name("miniHPC"), n_ranks)
     collector = TraceCollector.for_cluster(cluster)
     policy = ManDynPolicy(
         {"MomentumEnergy": 1410.0, "IADVelocityDivCurl": 1365.0},

@@ -19,7 +19,7 @@ from repro.core import (
 )
 from repro.reporting import render_table
 from repro.sph import run_instrumented
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 from repro.tuner import tune_all_sph_functions
 
 PROBLEM = 450**3
@@ -28,7 +28,7 @@ STEPS = 10
 
 def main() -> None:
     # --- 1. tune ----------------------------------------------------------
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     try:
         handle = nvml.nvmlDeviceGetHandleByIndex(0)
         freqs = nvml.supported_clock_window_mhz(handle, 1005, 1410)[::3]
@@ -47,7 +47,7 @@ def main() -> None:
 
     # --- 2/3. compare policies ---------------------------------------------
     def run(policy):
-        cl = Cluster(mini_hpc(), 1)
+        cl = Cluster(by_name("miniHPC"), 1)
         try:
             return run_instrumented(
                 cl, "SubsonicTurbulence", PROBLEM, STEPS, policy=policy

@@ -20,15 +20,16 @@ substrate (see DESIGN.md):
   events, a ring-buffer collector hooked into the step loop, Chrome
   ``trace_event``/JSONL export and trace-vs-report reconciliation;
 * ``repro.tuner``     — KernelTuner-style frequency tuning;
-* ``repro.systems``   — the Table-I machine presets.
+* ``repro.systems``   — system records resolved from the hardware
+  catalog (``repro.catalog``) and cluster assembly.
 
 Quickstart::
 
-    from repro.systems import mini_hpc, Cluster
+    from repro.systems import Cluster, by_name
     from repro.sph import run_instrumented
     from repro.core import ManDynPolicy
 
-    cluster = Cluster(mini_hpc(), n_ranks=1)
+    cluster = Cluster(by_name("miniHPC"), n_ranks=1)
     policy = ManDynPolicy({"MomentumEnergy": 1410.0}, default_mhz=1005.0)
     result = run_instrumented(
         cluster, "SubsonicTurbulence", 450**3, n_steps=10, policy=policy

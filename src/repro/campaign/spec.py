@@ -1,8 +1,8 @@
 """Declarative campaign specifications and grid expansion.
 
 A :class:`CampaignSpec` describes one experiment *sweep* — the cross
-product of workloads × frequency policies × clocks × seeds × system
-presets that every figure and table of the paper is built from (Figs.
+product of workloads × frequency policies × clocks × seeds × systems
+that every figure and table of the paper is built from (Figs.
 6-8 sweep clocks and policies, Table I sweeps systems). The spec is
 pure data, loadable from JSON or a plain dict, and expands into a flat
 list of :class:`RunUnit` configurations.
@@ -190,11 +190,11 @@ class CampaignSpec:
         6-8 frequency axis.
     systems:
         System references: catalog entry names (shipped or from
-        ``REPRO_CATALOG_PATH``), legacy Table-I preset names, or
-        ``path:<spec-file>`` references (a bare ``.yaml``/``.json``
-        path also works). A path reference enters run keys as the
-        literal string, so keep it stable (relative to the campaign
-        working directory) if cached results should survive.
+        ``REPRO_CATALOG_PATH``) or ``path:<spec-file>`` references
+        (a bare ``.json``/``.yaml`` path also works). A path reference
+        enters run keys as the literal string, so keep it stable
+        (relative to the campaign working directory) if cached results
+        should survive.
     particles:
         Per-rank particle counts (the Fig. 6 problem-size axis).
     seeds:

@@ -220,7 +220,7 @@ def execute_unit(
         telemetry = TraceCollector.for_cluster(cluster)
         telemetry.configure_tracing(trace_ctx, shard_dir=trace_dir)
     try:
-        max_mhz = to_mhz(system.gpu_spec().max_clock_hz)
+        max_mhz = to_mhz(system.gpu_spec.max_clock_hz)
         policy = build_policy(config["policy"], max_mhz, cluster=cluster)
         scenario = config.get("fault_scenario")
         if scenario is not None:

@@ -1,9 +1,10 @@
 """Declarative hardware catalog: spec files, loader, calibration.
 
-``repro.catalog`` lets a system be described in a versioned YAML/JSON
-file instead of a Python preset: the loader builds the exact same
-``GpuSpec``/``CpuSpec``/``SystemConfig`` dataclasses, so campaigns,
-the CLI and the service sweep new hardware with zero code changes.
+``repro.catalog`` is the one definition of every system: each is a
+versioned JSON (or, for user files, YAML) spec that the loader builds
+into the ``GpuSpec``/``CpuSpec``/``SystemConfig`` dataclasses, so
+campaigns, the CLI and the service sweep new hardware with zero code
+changes.
 ``repro.catalog.fit`` closes the loop — it fits the power/perf model
 parameters from a measured trace and emits a catalog spec file
 (``repro calibrate``). See ``docs/catalog.md``.

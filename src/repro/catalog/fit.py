@@ -296,7 +296,7 @@ def run_calibration_sweep(
     if abs(window_s / period_s - round(window_s / period_s)) > 1e-9:
         raise ValueError("window_s must be a whole multiple of period_s")
     os.makedirs(out_dir, exist_ok=True)
-    spec = system.gpu_spec()
+    spec = system.gpu_spec
     if kernels is None:
         kernels = DEFAULT_PROBE_KERNELS
     if clocks_mhz is None:
@@ -695,7 +695,7 @@ def fit_to_spec_payload(
     payload = spec_payload_from_system(
         base_system,
         description=f"calibrated from a measured trace of "
-                    f"{fit.gpu_name or base_system.gpu_spec().name}",
+                    f"{fit.gpu_name or base_system.gpu_spec.name}",
     )
     payload["name"] = name or fit.system or base_system.name
     gpu = payload["gpu"]

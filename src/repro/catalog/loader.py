@@ -1,17 +1,22 @@
-"""Load system spec files into the existing hardware dataclasses.
+"""Load system spec files into the hardware dataclasses.
 
 The loader turns a validated payload (see :mod:`repro.catalog.schema`)
-into the same :class:`~repro.systems.presets.SystemConfig` /
-:class:`~repro.hardware.specs.GpuSpec` objects the Python presets
-build, so everything downstream — cluster construction, campaign run
-keys, energy reports, the service layer — is oblivious to whether a
-system came from code or from a file.
+into a :class:`~repro.systems.presets.SystemConfig` holding its
+:class:`~repro.hardware.specs.GpuSpec` and
+:class:`~repro.hardware.specs.CpuSpec`. Every system — the shipped
+Table-I machines and any user spec — is defined this way, so
+everything downstream (cluster construction, campaign run keys, energy
+reports, the service layer) sees one kind of system.
 
 Unit discipline matters here: file knobs use integer-friendly units
 (``MHz``, ``GFLOP/s``, ``GB/s``, ``GiB``) whose conversions to the SI
-base units of the dataclasses are exact in binary floating point, so a
-shipped spec re-expressing a preset compares *equal* field for field
-and campaign run keys stay byte-stable.
+base units of the dataclasses are exact in binary floating point, so
+a spec written back from a built system (:func:`spec_payload_from_system`)
+rebuilds it equal field for field and campaign run keys stay
+byte-stable.
+
+The shipped specs are JSON; PyYAML is imported only when a ``.yaml`` /
+``.yml`` file is read or written.
 
 Search path: the shipped ``data/`` directory next to this module,
 preceded by any directories named in the ``REPRO_CATALOG_PATH``
@@ -24,7 +29,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..hardware.specs import (
     CpuSpec,
@@ -37,11 +42,6 @@ from ..mpi.timing import CommModel
 from ..systems.presets import SystemConfig
 from ..units import GIB, MICROSECOND, MILLISECOND, mhz, to_mhz
 from .schema import SchemaError, validate_system_payload
-
-try:  # PyYAML is an optional dependency; JSON specs always work.
-    import yaml as _yaml
-except ImportError:  # pragma: no cover - exercised only without PyYAML
-    _yaml = None
 
 #: Environment variable naming extra catalog directories.
 CATALOG_PATH_ENV = "REPRO_CATALOG_PATH"
@@ -103,6 +103,15 @@ def catalog_search_path() -> Tuple[str, ...]:
     return tuple(dirs)
 
 
+def _import_yaml():
+    """PyYAML, or ``None`` — an optional dependency for user spec files."""
+    try:
+        import yaml
+    except ImportError:
+        return None
+    return yaml
+
+
 def load_payload(path: str) -> Dict[str, Any]:
     """Parse (but do not validate) one spec file as a raw payload."""
     try:
@@ -115,15 +124,16 @@ def load_payload(path: str) -> Dict[str, Any]:
             return json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(path, "", f"invalid JSON: {exc}") from exc
-    if _yaml is None:
+    yaml = _import_yaml()
+    if yaml is None:
         raise SchemaError(
             path, "",
             "PyYAML is not installed — convert the spec to .json or "
             "install pyyaml",
         )
     try:
-        return _yaml.safe_load(text)
-    except _yaml.YAMLError as exc:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
         raise SchemaError(path, "", f"invalid YAML: {exc}") from exc
 
 
@@ -235,27 +245,14 @@ def _cpu_from(cpu: Mapping[str, Any]) -> CpuSpec:
 
 
 def build_system(payload: Any, source: str = "<payload>") -> SystemConfig:
-    """Validate a payload and build its :class:`SystemConfig`.
-
-    The GPU spec factory is a closure that rebuilds the
-    :class:`GpuSpec` fresh on every call, matching the preset
-    factories' semantics (each cluster gets independent spec objects).
-    """
+    """Validate a payload and build its :class:`SystemConfig`."""
     payload = validate_system_payload(payload, source)
-    gpu_section = dict(payload["gpu"])
-
-    def gpu_spec_factory() -> GpuSpec:
-        return build_gpu_spec(gpu_section)
-
-    # Build once up front so a bad payload fails at load time, not at
-    # first cluster construction inside a worker process.
-    gpu_spec_factory()
     cpu = payload["cpu"]
     node = payload["node"]
     meas = payload["measurement"]
     return SystemConfig(
         name=str(payload["name"]),
-        gpu_spec_factory=gpu_spec_factory,
+        gpu_spec=build_gpu_spec(payload["gpu"]),
         cpu_spec=_cpu_from(cpu),
         node_power=NodePowerSpec(
             memory_power_w=float(node["memory_w"]),
@@ -338,16 +335,13 @@ def available_entries() -> Dict[str, CatalogEntry]:
 
 
 def known_system_names() -> Tuple[str, ...]:
-    """Every resolvable system name: catalog entries plus code presets.
+    """Every resolvable system name: the catalog entries on the path.
 
     This is the single source for "known systems" in error messages —
     both :func:`repro.systems.by_name` and campaign spec validation
-    list the same names (and both therefore include catalog-only
-    systems like ``H100-SXM``).
+    list the same names.
     """
-    from ..systems.presets import _PRESETS
-
-    return tuple(sorted(set(available_entries()) | set(_PRESETS)))
+    return tuple(sorted(available_entries()))
 
 
 def is_path_ref(ref: str) -> bool:
@@ -373,8 +367,7 @@ def resolve_system(ref: str) -> SystemConfig:
     * ``path:<file>`` — explicit spec-file reference;
     * a bare path ending in ``.yaml``/``.yml``/``.json`` (or containing
       a directory separator);
-    * a catalog entry name (shipped or ``REPRO_CATALOG_PATH``);
-    * a legacy Python preset name, if no catalog file claims it.
+    * a catalog entry name (shipped or ``REPRO_CATALOG_PATH``).
     """
     if ref.startswith(PATH_PREFIX):
         return load_system(ref[len(PATH_PREFIX):])
@@ -383,11 +376,6 @@ def resolve_system(ref: str) -> SystemConfig:
     entry = available_entries().get(ref)
     if entry is not None:
         return build_system(_cached_payload(entry.path), source=entry.path)
-    from ..systems.presets import _PRESETS
-
-    factory: Optional[Callable[[], SystemConfig]] = _PRESETS.get(ref)
-    if factory is not None:
-        return factory()
     known = ", ".join(known_system_names())
     raise ValueError(f"unknown system {ref!r} (known: {known})")
 
@@ -417,7 +405,7 @@ def spec_payload_from_system(
     clock and capacity values sit on their unit grids, which every
     spec produced by this library does.
     """
-    gpu = system.gpu_spec()
+    gpu = system.gpu_spec
     payload: Dict[str, Any] = {
         "schema": 1,
         "kind": "system-spec",
@@ -531,11 +519,12 @@ def spec_payload_from_system(
 def write_spec_file(path: str, payload: Mapping[str, Any]) -> None:
     """Write a payload as a spec file (format chosen by suffix)."""
     payload = validate_system_payload(payload, source=path)
-    if path.endswith(".json") or _yaml is None:
+    yaml = None if path.endswith(".json") else _import_yaml()
+    if yaml is None:
         text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     else:
-        text = _yaml.safe_dump(payload, sort_keys=True,
-                               default_flow_style=False)
+        text = yaml.safe_dump(payload, sort_keys=True,
+                              default_flow_style=False)
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -1,8 +1,8 @@
 """Schema validation for declarative system spec files.
 
 A catalog file is a versioned, knob-based description of one system —
-the YAML/JSON equivalent of a :class:`~repro.systems.SystemConfig`
-preset (following the ``hardware.yaml`` idiom of knob-based estimator
+the JSON/YAML source of a :class:`~repro.systems.SystemConfig`
+(following the ``hardware.yaml`` idiom of knob-based estimator
 configs). Validation is strict and *actionable*: unknown keys name the
 spot and list what is accepted there, out-of-range values say which
 unit was probably confused, and a missing version says exactly what to

@@ -49,7 +49,7 @@ from .core import (
 from .reporting import render_breakdown, render_table
 from .slurm import JobSpec, SlurmController
 from .sph import run_instrumented, resolve_workload
-from .systems import Cluster, all_system_names, by_name
+from .systems import Cluster, by_name
 from .tuner import tune_all_sph_functions
 from .units import format_energy, format_time, to_mhz
 
@@ -130,37 +130,16 @@ def cmd_systems(args) -> int:
         return 0
     entries = available_entries()
     if getattr(args, "json", False):
-        systems = []
-        for name in all_system_names():
-            if name in entries:
-                systems.append(entries[name].to_dict())
-            else:  # preset without a catalog file (defensive)
-                system = by_name(name)
-                gpu = system.gpu_spec()
-                systems.append({
-                    "name": name,
-                    "source": None,
-                    "schema": None,
-                    "vendor": gpu.vendor,
-                    "gpu": gpu.name,
-                    "clock_mhz": [to_mhz(gpu.min_clock_hz),
-                                  to_mhz(gpu.max_clock_hz)],
-                    "ranks_per_node": system.ranks_per_node,
-                    "pmt_backend": system.pmt_backend,
-                    "slurm_energy_plugin": system.slurm_energy_plugin,
-                    "description": "",
-                    "origin": "builtin",
-                })
+        systems = [entries[name].to_dict() for name in sorted(entries)]
         print(json.dumps(
             {"schema": 1, "kind": "system-catalog", "systems": systems},
             indent=1, sort_keys=True,
         ))
         return 0
     rows = []
-    for name in all_system_names():
+    for name in sorted(entries):
         system = by_name(name)
-        gpu = system.gpu_spec()
-        entry = entries.get(name)
+        gpu = system.gpu_spec
         rows.append(
             [
                 name,
@@ -169,7 +148,7 @@ def cmd_systems(args) -> int:
                 system.pmt_backend,
                 system.slurm_energy_plugin,
                 "yes" if system.allow_user_freq_control else "no",
-                entry.origin if entry else "builtin",
+                entries[name].origin,
             ]
         )
     print(
@@ -177,7 +156,7 @@ def cmd_systems(args) -> int:
             ["system", "GPUs per node", "max clock [MHz]", "PMT backend",
              "Slurm energy plugin", "user clock control", "catalog"],
             rows,
-            title="available systems (Table I presets + catalog)",
+            title="available systems (hardware catalog)",
         )
     )
     return 0
@@ -275,7 +254,7 @@ def _calibrate_smoke(args) -> int:
 
     power_tol, roofline_tol = 0.02, 0.05
     system = by_name(args.system)
-    spec = system.gpu_spec()
+    spec = system.gpu_spec
     failures = []
     with tempfile.TemporaryDirectory(prefix="repro-calibrate-") as tmp:
         result = run_calibration_sweep(system, tmp)
@@ -330,7 +309,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_run(args) -> int:
     system = by_name(args.system)
-    max_mhz = to_mhz(system.gpu_spec().max_clock_hz)
+    max_mhz = to_mhz(system.gpu_spec.max_clock_hz)
     policy = _policy(args.policy, args.freq, args.freq_map, max_mhz)
     result, cluster = _run_once(args, policy)
 
@@ -421,7 +400,7 @@ def cmd_tune(args) -> int:
 
 def cmd_compare(args) -> int:
     system = by_name(args.system)
-    max_mhz = to_mhz(system.gpu_spec().max_clock_hz)
+    max_mhz = to_mhz(system.gpu_spec.max_clock_hz)
     policies = {
         "baseline": baseline_policy(max_mhz),
         f"static {args.freq:.0f}": StaticFrequencyPolicy(args.freq),
@@ -573,7 +552,7 @@ def _trace_run(args):
     from .telemetry import TraceCollector
 
     system = by_name(args.system)
-    max_mhz = to_mhz(system.gpu_spec().max_clock_hz)
+    max_mhz = to_mhz(system.gpu_spec.max_clock_hz)
     policy = _policy(args.policy, args.freq, args.freq_map, max_mhz)
     collector = TraceCollector(max_events=args.max_events)
     result, _ = _run_once(args, policy, telemetry=collector)
@@ -718,7 +697,7 @@ def cmd_faults_run(args) -> int:
     from .telemetry import TraceCollector
 
     system = by_name(args.system)
-    max_mhz = to_mhz(system.gpu_spec().max_clock_hz)
+    max_mhz = to_mhz(system.gpu_spec.max_clock_hz)
     policy = _policy(args.policy, args.freq, args.freq_map, max_mhz)
     plan = build_plan(args.scenario, seed=args.seed, n_ranks=args.ranks)
     injector = FaultInjector(plan)
@@ -986,7 +965,7 @@ def _monitor_run(args):
     from .telemetry import TraceCollector
 
     system = by_name(args.system)
-    max_mhz = to_mhz(system.gpu_spec().max_clock_hz)
+    max_mhz = to_mhz(system.gpu_spec.max_clock_hz)
     policy = _policy(args.policy, args.freq, args.freq_map, max_mhz)
     collector = TraceCollector(max_events=args.max_events)
     monitor = Monitor(
@@ -1501,7 +1480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     systems_p = sub.add_parser(
         "systems",
-        help="list the known systems (Table-I presets + catalog specs)",
+        help="list the known systems (hardware catalog specs)",
     )
     systems_p.add_argument("--json", action="store_true",
                            help="print a stable machine-readable listing "
@@ -1564,7 +1543,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--system", default="miniHPC",
-                       help="system preset name (see `systems`)")
+                       help="system name (see `systems`)")
         p.add_argument("--workload", default="turbulence",
                        help="turbulence | evrard | sedov")
         p.add_argument("--particles", type=float, default=float(450**3),

@@ -20,14 +20,6 @@ from .specs import (
     GovernorSpec,
     GpuSpec,
     NodePowerSpec,
-    a100_pcie_40gb,
-    a100_sxm4_80gb,
-    epyc_7713,
-    epyc_7a53,
-    intel_max_1550,
-    mi250x_gcd,
-    xeon_6258r_pair,
-    xeon_max_9470_pair,
 )
 
 __all__ = [
@@ -52,12 +44,4 @@ __all__ = [
     "GovernorSpec",
     "GpuSpec",
     "NodePowerSpec",
-    "a100_pcie_40gb",
-    "a100_sxm4_80gb",
-    "epyc_7713",
-    "epyc_7a53",
-    "intel_max_1550",
-    "mi250x_gcd",
-    "xeon_6258r_pair",
-    "xeon_max_9470_pair",
 ]

@@ -1,4 +1,4 @@
-"""Device specifications and Table-I hardware presets.
+"""Device specifications: the dataclasses a system's hardware is built from.
 
 The numbers here are the *calibration layer* of the reproduction
 (DESIGN.md §5): device peak throughputs, power envelopes, supported
@@ -6,11 +6,8 @@ clock bins and the voltage/frequency power exponent. The paper's
 results come out of the models fed with these constants; nothing
 downstream hard-codes a result.
 
-Presets cover the three systems of Table I:
-
-* **CSCS-A100** — 4x Nvidia A100-SXM4-80GB + AMD EPYC 7713 per node.
-* **LUMI-G** — 8x AMD MI250X GCDs (4 cards) + AMD EPYC 7A53 per node.
-* **miniHPC** — 2x Nvidia A100-PCIE-40GB + 2x Intel Xeon Gold 6258R.
+The values for each machine live in the hardware catalog's spec files
+(:mod:`repro.catalog`, docs/catalog.md).
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-from ..units import GIB, mhz
+from ..units import mhz
 
 
 @dataclass(frozen=True)
@@ -242,155 +239,3 @@ class NodePowerSpec:
 
     memory_power_w: float
     aux_power_w: float
-
-
-# ---------------------------------------------------------------------------
-# Per-kernel architecture efficiencies (calibration, DESIGN.md section 5).
-# ---------------------------------------------------------------------------
-
-#: MI250X GCD runs the SPH-EXA kernels at a lower fraction of peak than
-#: the A100 does; MomentumEnergy in particular is singled out by the
-#: paper as unoptimized on AMD.
-_MI250X_KERNEL_EFFICIENCY = {
-    "MomentumEnergy": 0.30,
-    "IADVelocityDivCurl": 0.70,
-    "Gravity": 0.60,
-}
-
-
-def a100_sxm4_80gb() -> GpuSpec:
-    """Nvidia A100-SXM4-80GB (CSCS-A100 'Grace-like' nodes, Table I)."""
-    return GpuSpec(
-        name="NVIDIA A100-SXM4-80GB",
-        vendor="nvidia",
-        min_clock_hz=mhz(210.0),
-        max_clock_hz=mhz(1410.0),
-        clock_step_hz=mhz(15.0),
-        default_clock_hz=mhz(1410.0),
-        memory_clock_hz=mhz(1593.0),
-        idle_power_w=55.0,
-        max_power_w=400.0,
-        power_exponent=1.70,
-        fp_throughput=9.7e12,  # FP64 non-tensor peak
-        mem_bandwidth=2.0e12,
-        memory_bytes=80.0 * GIB,
-        gcds_per_card=1,
-    )
-
-
-def a100_pcie_40gb() -> GpuSpec:
-    """Nvidia A100-PCIE-40GB (miniHPC, Table I): lower TDP and bandwidth."""
-    return GpuSpec(
-        name="NVIDIA A100-PCIE-40GB",
-        vendor="nvidia",
-        min_clock_hz=mhz(210.0),
-        max_clock_hz=mhz(1410.0),
-        clock_step_hz=mhz(15.0),
-        default_clock_hz=mhz(1410.0),
-        memory_clock_hz=mhz(1593.0),
-        idle_power_w=45.0,
-        max_power_w=250.0,
-        power_exponent=1.70,
-        fp_throughput=9.7e12,
-        mem_bandwidth=1.555e12,
-        memory_bytes=40.0 * GIB,
-        gcds_per_card=1,
-    )
-
-
-def mi250x_gcd() -> GpuSpec:
-    """One GCD (half card) of an AMD MI250X (LUMI-G, Table I).
-
-    One MPI rank drives one GCD; power is sensed per *card* (two GCDs),
-    which `repro.craypm` and the analysis layer must account for.
-    """
-    return GpuSpec(
-        name="AMD Instinct MI250X (GCD)",
-        vendor="amd",
-        min_clock_hz=mhz(500.0),
-        max_clock_hz=mhz(1700.0),
-        clock_step_hz=mhz(50.0),
-        default_clock_hz=mhz(1700.0),
-        memory_clock_hz=mhz(1600.0),
-        idle_power_w=45.0,  # per GCD; 90 W per card
-        max_power_w=280.0,  # per GCD; 560 W per card
-        power_exponent=1.70,
-        fp_throughput=8.0e12,  # sustained per-GCD FP64 for this code family
-        mem_bandwidth=1.6e12,
-        memory_bytes=64.0 * GIB,
-        gcds_per_card=2,
-        arch_efficiency=dict(_MI250X_KERNEL_EFFICIENCY),
-    )
-
-
-def intel_max_1550() -> GpuSpec:
-    """Intel Data Center GPU Max 1550 (Ponte Vecchio OAM card).
-
-    The paper's future work extends the method to Intel GPUs; clock and
-    power management for this part goes through Level Zero Sysman
-    (`repro.levelzero`). One MPI rank drives one card here.
-    """
-    return GpuSpec(
-        name="Intel Data Center GPU Max 1550",
-        vendor="intel",
-        min_clock_hz=mhz(900.0),
-        max_clock_hz=mhz(1600.0),
-        clock_step_hz=mhz(50.0),
-        default_clock_hz=mhz(1600.0),
-        memory_clock_hz=mhz(1565.0),
-        idle_power_w=95.0,
-        max_power_w=600.0,
-        power_exponent=1.70,
-        fp_throughput=16.0e12,  # sustained card FP64 for this code family
-        mem_bandwidth=3.2e12,
-        memory_bytes=128.0 * GIB,
-        gcds_per_card=1,
-    )
-
-
-def xeon_max_9470_pair() -> CpuSpec:
-    """2x Intel Xeon Max 9470 52c (Aurora-class host)."""
-    return CpuSpec(
-        name="Intel Xeon Max 9470",
-        sockets=2,
-        cores_per_socket=52,
-        idle_power_w=160.0,
-        active_power_w=700.0,
-        memory_gib=1024.0,
-    )
-
-
-def epyc_7713() -> CpuSpec:
-    """AMD EPYC 7713 64c (CSCS-A100 host)."""
-    return CpuSpec(
-        name="AMD EPYC 7713",
-        sockets=1,
-        cores_per_socket=64,
-        idle_power_w=95.0,
-        active_power_w=225.0,
-        memory_gib=512.0,
-    )
-
-
-def epyc_7a53() -> CpuSpec:
-    """AMD EPYC 7A53 'Trento' 64c (LUMI-G host)."""
-    return CpuSpec(
-        name="AMD EPYC 7A53",
-        sockets=1,
-        cores_per_socket=64,
-        idle_power_w=100.0,
-        active_power_w=280.0,
-        memory_gib=512.0,
-    )
-
-
-def xeon_6258r_pair() -> CpuSpec:
-    """2x Intel Xeon Gold 6258R 28c (miniHPC host)."""
-    return CpuSpec(
-        name="Intel Xeon Gold 6258R",
-        sockets=2,
-        cores_per_socket=28,
-        idle_power_w=130.0,
-        active_power_w=410.0,
-        memory_gib=1536.0,
-    )

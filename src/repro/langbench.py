@@ -19,7 +19,8 @@ from typing import Dict, List
 
 import numpy as np
 
-from .hardware.specs import CpuSpec, GpuSpec, a100_sxm4_80gb, epyc_7713
+from .hardware.specs import CpuSpec, GpuSpec
+from .systems import by_name
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,9 @@ def language_efficiency(
     gpu: GpuSpec = None,
 ) -> List[LanguageResult]:
     """Evaluate all language profiles on ``total_flops`` of N-body work."""
-    cpu = cpu or epyc_7713()
-    gpu = gpu or a100_sxm4_80gb()
+    cscs = by_name("CSCS-A100")
+    cpu = cpu or cscs.cpu_spec
+    gpu = gpu or cscs.gpu_spec
     # Sustained CPU FP64 throughput for an optimized vectorized code.
     cpu_peak = cpu.cores * 2.5e9 * 8.0  # cores * clock * AVX fused lanes
     results = []

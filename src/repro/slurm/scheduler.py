@@ -39,7 +39,7 @@ class SlurmController:
 
     The cluster object must provide ``nodes``, ``pm_counters`` (possibly
     empty), ``clocks``, ``comm``, ``apply_gpu_frequency_mhz`` and the
-    ``system`` preset (for the energy plugin name).
+    ``system`` record (for the energy plugin name).
     """
 
     def __init__(

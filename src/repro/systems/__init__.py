@@ -1,23 +1,11 @@
-"""Table-I system presets and cluster assembly (DESIGN.md §2)."""
+"""System records, the catalog resolver and cluster assembly (DESIGN.md §2)."""
 
 from .cluster import Cluster
-from .presets import (
-    SystemConfig,
-    all_system_names,
-    aurora_pvc,
-    by_name,
-    cscs_a100,
-    lumi_g,
-    mini_hpc,
-)
+from .presets import SystemConfig, all_system_names, by_name
 
 __all__ = [
     "Cluster",
     "SystemConfig",
     "all_system_names",
-    "aurora_pvc",
     "by_name",
-    "cscs_a100",
-    "lumi_g",
-    "mini_hpc",
 ]

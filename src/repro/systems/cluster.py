@@ -56,7 +56,7 @@ class Cluster:
             lead_clock = self.clocks[rank]
             for local in range(node_rpn):
                 gpu = SimulatedGpu(
-                    system.gpu_spec(), self.clocks[rank], index=local
+                    system.gpu_spec, self.clocks[rank], index=local
                 )
                 node_gpus.append(gpu)
                 self.gpus.append(gpu)
@@ -121,7 +121,7 @@ class Cluster:
         (NVML, ROCm SMI or Level Zero Sysman), as on the real node."""
         from .. import levelzero
 
-        vendor = self.system.gpu_spec().vendor
+        vendor = self.system.gpu_spec.vendor
         if vendor == "nvidia":
             nvml.attach_devices(
                 self.gpus,
@@ -140,7 +140,7 @@ class Cluster:
     def detach_management_library(self) -> None:
         from .. import levelzero
 
-        vendor = self.system.gpu_spec().vendor
+        vendor = self.system.gpu_spec.vendor
         if vendor == "nvidia":
             nvml.detach_devices()
         elif vendor == "amd":

@@ -1,44 +1,34 @@
-"""System presets for the three testbeds of Table I.
+"""The system record and its resolver.
 
 Each :class:`SystemConfig` bundles the node hardware (GPU/CPU specs,
 memory + auxiliary power), the topology (ranks == GCDs per node), the
 energy-measurement backend available to users on that system, and
 whether the centre lets users change GPU clocks (only miniHPC does,
 which is why the paper's frequency studies run there, §IV-C).
+
+Every system is defined by a spec file in the hardware catalog
+(:mod:`repro.catalog`, docs/catalog.md); :func:`by_name` resolves one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
-from ..hardware.specs import (
-    CpuSpec,
-    GpuSpec,
-    NodePowerSpec,
-    a100_pcie_40gb,
-    a100_sxm4_80gb,
-    epyc_7713,
-    epyc_7a53,
-    intel_max_1550,
-    mi250x_gcd,
-    xeon_6258r_pair,
-    xeon_max_9470_pair,
-)
+from ..hardware.specs import CpuSpec, GpuSpec, NodePowerSpec
 from ..mpi.timing import CommModel
 
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """One Table-I system: hardware, topology, measurement stack."""
+    """One system: hardware, topology, measurement stack."""
 
     name: str
-    gpu_spec_factory: Callable[[], GpuSpec]
+    gpu_spec: GpuSpec
     cpu_spec: CpuSpec
     node_power: NodePowerSpec
     #: MPI ranks (= GPUs or GCDs) per node.
     ranks_per_node: int
-    #: PMT backend users reach on this system: "cray", "nvml" or "rocm".
+    #: PMT backend users reach: "cray", "nvml", "rocm" or "levelzero".
     pmt_backend: str
     #: Slurm acct_gather_energy plugin: "pm_counters", "ipmi" or "rapl".
     slurm_energy_plugin: str
@@ -46,95 +36,19 @@ class SystemConfig:
     allow_user_freq_control: bool
     comm_model: CommModel = field(default_factory=CommModel)
 
-    def gpu_spec(self) -> GpuSpec:
-        return self.gpu_spec_factory()
-
     @property
     def has_pm_counters(self) -> bool:
         """HPE/Cray-built systems expose /sys/cray/pm_counters."""
         return self.slurm_energy_plugin == "pm_counters"
 
 
-def lumi_g() -> SystemConfig:
-    """LUMI-G: 8x MI250X GCDs + EPYC 7A53 per node, Cray pm_counters."""
-    return SystemConfig(
-        name="LUMI-G",
-        gpu_spec_factory=mi250x_gcd,
-        cpu_spec=epyc_7a53(),
-        node_power=NodePowerSpec(memory_power_w=150.0, aux_power_w=350.0),
-        ranks_per_node=8,
-        pmt_backend="cray",
-        slurm_energy_plugin="pm_counters",
-        allow_user_freq_control=False,
-    )
-
-
-def cscs_a100() -> SystemConfig:
-    """CSCS-A100: 4x A100-SXM4-80GB + EPYC 7713 per node, pm_counters."""
-    return SystemConfig(
-        name="CSCS-A100",
-        gpu_spec_factory=a100_sxm4_80gb,
-        cpu_spec=epyc_7713(),
-        # pm_counters on this system does not expose a separate memory
-        # counter; memory draw is folded into "Other" downstream (Fig. 4).
-        node_power=NodePowerSpec(memory_power_w=75.0, aux_power_w=235.0),
-        ranks_per_node=4,
-        pmt_backend="nvml",
-        slurm_energy_plugin="pm_counters",
-        allow_user_freq_control=False,
-    )
-
-
-def mini_hpc() -> SystemConfig:
-    """miniHPC: 2x A100-PCIE-40GB + 2x Xeon 6258R; users may set clocks."""
-    return SystemConfig(
-        name="miniHPC",
-        gpu_spec_factory=a100_pcie_40gb,
-        cpu_spec=xeon_6258r_pair(),
-        node_power=NodePowerSpec(memory_power_w=110.0, aux_power_w=150.0),
-        ranks_per_node=2,
-        pmt_backend="nvml",
-        slurm_energy_plugin="ipmi",
-        allow_user_freq_control=True,
-    )
-
-
-def aurora_pvc() -> SystemConfig:
-    """Aurora-class Intel system: 6x PVC Max 1550 + 2x Xeon Max per node.
-
-    Not part of the paper's Table I — it exists for the §V future-work
-    experiments (ManDyn on Intel GPUs through Level Zero Sysman).
-    """
-    return SystemConfig(
-        name="Aurora-PVC",
-        gpu_spec_factory=intel_max_1550,
-        cpu_spec=xeon_max_9470_pair(),
-        node_power=NodePowerSpec(memory_power_w=180.0, aux_power_w=420.0),
-        ranks_per_node=6,
-        pmt_backend="levelzero",
-        slurm_energy_plugin="ipmi",
-        allow_user_freq_control=True,
-    )
-
-
-_PRESETS = {
-    "LUMI-G": lumi_g,
-    "CSCS-A100": cscs_a100,
-    "miniHPC": mini_hpc,
-    "Aurora-PVC": aurora_pvc,
-}
-
-
 def by_name(name: str) -> SystemConfig:
-    """Resolve a system by catalog name, preset name, or spec-file ref.
+    """Resolve a system by catalog name or spec-file reference.
 
-    Since the hardware catalog landed this is a thin resolver over
-    :func:`repro.catalog.resolve_system`: shipped and user spec files
-    (including ``path:<file>`` references) resolve here, and the four
-    Table-I names return objects field-for-field equal to the Python
-    presets above, so run keys and cached results are unaffected. The
-    catalog import is lazy to keep ``repro.systems`` importable from
-    ``repro.catalog`` without a cycle.
+    A thin resolver over :func:`repro.catalog.resolve_system`: shipped
+    and user spec files (including ``path:<file>`` references) resolve
+    here. The catalog import is lazy to keep ``repro.systems``
+    importable from ``repro.catalog`` without a cycle.
     """
     from ..catalog import resolve_system
 
@@ -142,11 +56,11 @@ def by_name(name: str) -> SystemConfig:
 
 
 def all_system_names() -> tuple:
-    """Names of every resolvable system (catalog entries + presets).
+    """Names of every resolvable catalog system.
 
     The single source for "known systems" lists in error messages —
     campaign spec validation and the resolver's unknown-name error
-    both quote this, so catalog-only systems appear in both.
+    both quote this.
     """
     from ..catalog import known_system_names
 

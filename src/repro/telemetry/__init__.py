@@ -32,11 +32,11 @@ registered and a run's reported numbers are bit-for-bit unchanged.
 
 Quickstart::
 
-    from repro.systems import Cluster, mini_hpc
+    from repro.systems import Cluster, by_name
     from repro.sph import run_instrumented
     from repro.telemetry import TraceCollector, write_chrome_trace
 
-    cluster = Cluster(mini_hpc(), n_ranks=1)
+    cluster = Cluster(by_name("miniHPC"), n_ranks=1)
     trace = TraceCollector.for_cluster(cluster)
     result = run_instrumented(
         cluster, "SedovBlast", 1e6, n_steps=4, telemetry=trace

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro import levelzero, nvml, rocm
-from repro.hardware import SimulatedGpu, VirtualClock, a100_sxm4_80gb, mi250x_gcd
+from repro.hardware import SimulatedGpu, VirtualClock
 from repro.sph.init import TurbulenceConfig, make_turbulence
-from repro.systems import Cluster, cscs_a100, lumi_g, mini_hpc
+from repro.systems import Cluster, by_name
 
 
 @pytest.fixture(autouse=True)
@@ -27,31 +27,31 @@ def clock():
 
 @pytest.fixture
 def a100(clock):
-    return SimulatedGpu(a100_sxm4_80gb(), clock)
+    return SimulatedGpu(by_name("CSCS-A100").gpu_spec, clock)
 
 
 @pytest.fixture
 def gcd(clock):
-    return SimulatedGpu(mi250x_gcd(), clock)
+    return SimulatedGpu(by_name("LUMI-G").gpu_spec, clock)
 
 
 @pytest.fixture
 def mini_cluster():
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     yield cluster
     cluster.detach_management_library()
 
 
 @pytest.fixture
 def cscs_cluster():
-    cluster = Cluster(cscs_a100(), 8)
+    cluster = Cluster(by_name("CSCS-A100"), 8)
     yield cluster
     cluster.detach_management_library()
 
 
 @pytest.fixture
 def lumi_cluster():
-    cluster = Cluster(lumi_g(), 16)
+    cluster = Cluster(by_name("LUMI-G"), 16)
     yield cluster
     cluster.detach_management_library()
 

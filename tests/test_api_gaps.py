@@ -10,7 +10,6 @@ from repro.hardware import (
     KernelRecord,
     SimulatedGpu,
     VirtualClock,
-    a100_sxm4_80gb,
     merge_kernel_records,
 )
 from repro.mpi import CommStats, SimComm
@@ -18,6 +17,7 @@ from repro.slurm import JobSetupModel
 from repro.sph import hydro_gravity_propagator
 from repro.sph.cornerstone import Box, assign_particles
 from repro.sph.init import lattice_positions
+from repro.systems import by_name
 
 
 def test_assign_particles_convenience():
@@ -60,7 +60,7 @@ def test_device_breakdown_mj():
 
 
 def test_nvml_version_strings():
-    gpu = SimulatedGpu(a100_sxm4_80gb(), VirtualClock())
+    gpu = SimulatedGpu(by_name("CSCS-A100").gpu_spec, VirtualClock())
     nvml.attach_devices([gpu])
     nvml.nvmlInit()
     assert "sim" in nvml.nvmlSystemGetDriverVersion()

@@ -15,7 +15,7 @@ import pytest
 from repro.core import OnlineTuningPolicy, ResilienceConfig
 from repro.faults import FaultInjector, build_plan
 from repro.sph import run_instrumented
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 
 N = 450**3
 CANDIDATES = (1410.0, 1200.0, 1005.0)
@@ -23,7 +23,7 @@ ROUNDS = 2
 
 
 def _run_autodyn(faults_seed=None):
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     try:
         policy = OnlineTuningPolicy(
             cluster.gpus, candidates_mhz=CANDIDATES,

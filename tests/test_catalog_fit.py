@@ -51,13 +51,13 @@ def _assert_within_tolerance(fit, spec):
 def test_trace_path_recovers_spec(sweep):
     system, result = sweep
     fit = fit_from_trace(result.trace_path)
-    _assert_within_tolerance(fit, system.gpu_spec())
+    _assert_within_tolerance(fit, system.gpu_spec)
 
 
 def test_dump_path_recovers_spec(sweep):
     system, result = sweep
     fit = fit_from_dump(result.dump_path, result.schedule_path)
-    _assert_within_tolerance(fit, system.gpu_spec())
+    _assert_within_tolerance(fit, system.gpu_spec)
 
 
 def test_both_paths_agree(sweep):
@@ -97,7 +97,7 @@ def test_arch_efficiency_recovered_on_lumi(tmp_path):
     fit = fit_from_trace(result.trace_path)
     payload = fit_to_spec_payload(fit, system)
     eff = payload["gpu"]["arch_efficiency"]
-    truth = system.gpu_spec().arch_efficiency
+    truth = system.gpu_spec.arch_efficiency
     for kernel, value in truth.items():
         assert eff[kernel] == pytest.approx(value, rel=ROOFLINE_TOL)
 
@@ -109,8 +109,8 @@ def test_fitted_spec_file_builds_equivalent_system(sweep, tmp_path):
     fit = fit_from_trace(result.trace_path)
     payload = fit_to_spec_payload(fit, system, name="minihpc-refit")
     rebuilt = build_system(payload, source="<fit>")
-    truth = system.gpu_spec()
-    spec = rebuilt.gpu_spec()
+    truth = system.gpu_spec
+    spec = rebuilt.gpu_spec
     assert spec.idle_power_w == pytest.approx(truth.idle_power_w,
                                               rel=POWER_TOL)
     assert spec.max_power_w == pytest.approx(truth.max_power_w,

@@ -17,7 +17,7 @@ from repro.catalog import (
 @pytest.fixture()
 def payload():
     """A known-good payload (the shipped miniHPC spec), deep-copied."""
-    path = os.path.join(shipped_catalog_dir(), "minihpc.yaml")
+    path = os.path.join(shipped_catalog_dir(), "minihpc.json")
     return copy.deepcopy(load_payload(path))
 
 

@@ -1,15 +1,15 @@
-"""Catalog loader and resolver: preset equivalence, stable run keys.
+"""Catalog loader and resolver: pinned system digests, stable run keys.
 
-The contract that matters most here is *byte stability*: moving the
-four Table-I presets into catalog files must not change a single
+The contract that matters most here is *byte stability*: a change to a
+shipped spec or to the loader must not move a single built system or
 content-addressed run key, or every previously stored campaign unit
-would be orphaned. The pinned hashes below were computed when the
-presets were still pure Python — they must never change.
+would be orphaned. The pinned hashes below must never change.
 """
 
-import dataclasses
-import json
-import os
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,16 +22,25 @@ from repro.catalog import (
     load_payload,
     load_system,
     resolve_system,
-    shipped_catalog_dir,
     spec_payload_from_system,
     validate_shipped_catalog,
     write_spec_file,
 )
 from repro.systems import all_system_names, by_name
-from repro.systems.presets import _PRESETS
 
-LEGACY_NAMES = ("LUMI-G", "CSCS-A100", "miniHPC", "Aurora-PVC")
+#: Table I plus Aurora-PVC (the paper's §V future work).
+PAPER_NAMES = ("LUMI-G", "CSCS-A100", "miniHPC", "Aurora-PVC")
 CATALOG_ONLY_NAMES = ("H100-SXM", "GH200-Superchip")
+
+#: First 16 hex digits of the SHA-256 of each built system's repr.
+PINNED_SYSTEM_DIGESTS = {
+    "Aurora-PVC": "5286d9a935345ec8",
+    "CSCS-A100": "c21c32c8c58ce0b3",
+    "GH200-Superchip": "cad93ef74b214ea0",
+    "H100-SXM": "ca7327bd98ff5380",
+    "LUMI-G": "245439ce6a657f8b",
+    "miniHPC": "073abdf899f42a50",
+}
 
 #: Run keys of a fixed two-unit campaign per system, pinned forever.
 PINNED_RUN_KEYS = {
@@ -58,40 +67,71 @@ def _stability_spec(system):
 
 
 # ---------------------------------------------------------------------------
-# preset equivalence
+# pinned system digests
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", LEGACY_NAMES)
-def test_catalog_file_equals_python_preset(name):
-    preset = _PRESETS[name]()
-    path = os.path.join(shipped_catalog_dir(), f"{name.lower()}.yaml")
-    loaded = load_system(path)
-    assert loaded.gpu_spec() == preset.gpu_spec()
-    for field in dataclasses.fields(type(preset)):
-        if field.name == "gpu_spec_factory":
-            continue
-        assert getattr(loaded, field.name) == getattr(preset, field.name), (
-            f"{name}.{field.name} differs between catalog file and preset"
-        )
+def _system_digest(s):
+    fields = (s.name, s.gpu_spec, s.cpu_spec, s.node_power, s.ranks_per_node,
+              s.pmt_backend, s.slurm_energy_plugin, s.allow_user_freq_control,
+              s.comm_model)
+    return hashlib.sha256(repr(fields).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SYSTEM_DIGESTS))
+def test_shipped_system_digest_is_pinned(name):
+    assert _system_digest(by_name(name)) == PINNED_SYSTEM_DIGESTS[name]
 
 
 def test_shipped_catalog_validates_and_constructs():
     entries = validate_shipped_catalog()
     names = {e.name for e in entries}
-    assert set(LEGACY_NAMES) <= names
+    assert set(PAPER_NAMES) <= names
     assert set(CATALOG_ONLY_NAMES) <= names
 
 
-@pytest.mark.parametrize("name", LEGACY_NAMES + CATALOG_ONLY_NAMES)
+@pytest.mark.parametrize("name", PAPER_NAMES + CATALOG_ONLY_NAMES)
 def test_spec_payload_round_trips(name, tmp_path):
     system = by_name(name)
     payload = spec_payload_from_system(system)
     rebuilt = build_system(payload, source=f"<{name}>")
-    assert rebuilt.gpu_spec() == system.gpu_spec()
+    assert rebuilt.gpu_spec == system.gpu_spec
     path = str(tmp_path / "spec.yaml")
     write_spec_file(path, payload)
-    assert load_system(path).gpu_spec() == system.gpu_spec()
+    assert load_system(path).gpu_spec == system.gpu_spec
+
+
+_NO_YAML_DRIVER = """
+import sys
+
+
+class BlockYaml:
+    def find_spec(self, name, path=None, target=None):
+        if name == "yaml" or name.startswith("yaml."):
+            raise ImportError("PyYAML blocked for this test")
+        return None
+
+
+sys.meta_path.insert(0, BlockYaml())
+sys.path.insert(0, {src!r})
+
+from repro.catalog import validate_shipped_catalog
+from repro.systems import all_system_names, by_name
+
+for name in all_system_names():
+    assert by_name(name).name == name
+print(len(validate_shipped_catalog()))
+"""
+
+
+def test_shipped_catalog_needs_no_pyyaml():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_YAML_DRIVER.format(src=src)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == len(PINNED_SYSTEM_DIGESTS)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +152,7 @@ def test_run_keys_are_pinned(name):
 
 def test_by_name_resolves_catalog_only_system():
     system = by_name("H100-SXM")
-    assert system.gpu_spec().name == "NVIDIA H100-SXM5-80GB"
+    assert system.gpu_spec.name == "NVIDIA H100-SXM5-80GB"
     assert "H100-SXM" in all_system_names()
 
 
@@ -121,7 +161,7 @@ def test_unknown_name_error_lists_catalog_entries():
         by_name("Frontier")
     message = str(excinfo.value)
     assert "unknown system 'Frontier'" in message
-    for name in LEGACY_NAMES + CATALOG_ONLY_NAMES:
+    for name in PAPER_NAMES + CATALOG_ONLY_NAMES:
         assert name in message
 
 
@@ -151,7 +191,7 @@ def test_user_catalog_dir_shadows_shipped(tmp_path, monkeypatch):
 def test_known_system_names_is_sorted_union():
     names = known_system_names()
     assert list(names) == sorted(names)
-    assert set(LEGACY_NAMES) | set(CATALOG_ONLY_NAMES) <= set(names)
+    assert set(PAPER_NAMES) | set(CATALOG_ONLY_NAMES) <= set(names)
 
 
 # ---------------------------------------------------------------------------

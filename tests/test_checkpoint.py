@@ -22,7 +22,7 @@ from repro.checkpoint import (
 from repro.sph import NumericProblem, Simulation, run_instrumented
 from repro.sph.init import SedovConfig, make_sedov, make_sedov_eos
 from repro.sph.neighbors import mirror_missing
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +151,7 @@ STEPS = 8
 
 
 def _model_sim():
-    return Simulation(Cluster(mini_hpc(), 2), "SedovBlast", 10_000.0)
+    return Simulation(Cluster(by_name("miniHPC"), 2), "SedovBlast", 10_000.0)
 
 
 def test_model_mode_resume_is_bit_exact(tmp_path):
@@ -203,7 +203,7 @@ def test_restore_beyond_requested_steps_refused(tmp_path):
 def test_workload_mismatch_refuses_restore(tmp_path):
     ckpt = str(tmp_path / "c.json")
     _model_sim().run(4, checkpoint_every=4, checkpoint_path=ckpt)
-    other = Simulation(Cluster(mini_hpc(), 2), "Turbulence", 10_000.0)
+    other = Simulation(Cluster(by_name("miniHPC"), 2), "Turbulence", 10_000.0)
     with pytest.raises(CheckpointError, match="workload"):
         other.run(4, restore_from=ckpt)
 
@@ -216,7 +216,7 @@ def _numeric_sim(n_ranks=2):
         box_size=cfg.box_size, skin=0.2,
     )
     return Simulation(
-        Cluster(mini_hpc(), n_ranks), "SedovBlast", parts.n, numeric=numeric
+        Cluster(by_name("miniHPC"), n_ranks), "SedovBlast", parts.n, numeric=numeric
     )
 
 
@@ -380,7 +380,7 @@ def test_legacy_mirror_mask_checkpoint_resumes_bit_exact(tmp_path):
 
 def test_run_instrumented_passthrough(tmp_path):
     ckpt = str(tmp_path / "c.json")
-    cluster = Cluster(mini_hpc(), 2)
+    cluster = Cluster(by_name("miniHPC"), 2)
     res = run_instrumented(
         cluster, "SedovBlast", 10_000.0, 4,
         checkpoint_every=2, checkpoint_path=ckpt,

@@ -7,7 +7,7 @@ import pytest
 from repro.cli import main
 
 
-def test_systems_lists_presets(capsys):
+def test_systems_lists_catalog(capsys):
     assert main(["systems"]) == 0
     out = capsys.readouterr().out
     assert "LUMI-G" in out and "CSCS-A100" in out and "miniHPC" in out
@@ -285,7 +285,7 @@ def test_systems_json_is_machine_readable(capsys):
     entry = by_name["miniHPC"]
     assert entry["vendor"] == "nvidia"
     assert entry["clock_mhz"] == [210.0, 1410.0]
-    assert entry["source"].endswith("minihpc.yaml")
+    assert entry["source"].endswith("minihpc.json")
     assert entry["schema"] == 1
 
 

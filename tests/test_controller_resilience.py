@@ -12,13 +12,9 @@ from repro.core import (
     ResilienceConfig,
 )
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
-from repro.hardware import (
-    SimulatedGpu,
-    VirtualClock,
-    a100_sxm4_80gb,
-    mi250x_gcd,
-)
+from repro.hardware import SimulatedGpu, VirtualClock
 from repro.nvml import NVMLError
+from repro.systems import by_name
 from repro.telemetry import TRACK_FAULTS, TraceCollector
 from repro.units import to_mhz
 
@@ -26,7 +22,7 @@ from repro.units import to_mhz
 def _nvidia_rig(n: int = 2):
     clocks = [VirtualClock() for _ in range(n)]
     gpus = [
-        SimulatedGpu(a100_sxm4_80gb(), clocks[i], index=i) for i in range(n)
+        SimulatedGpu(by_name("CSCS-A100").gpu_spec, clocks[i], index=i) for i in range(n)
     ]
     nvml.attach_devices(gpus)
     nvml.nvmlInit()
@@ -35,7 +31,7 @@ def _nvidia_rig(n: int = 2):
 
 def _amd_rig(n: int = 2):
     clocks = [VirtualClock() for _ in range(n)]
-    gpus = [SimulatedGpu(mi250x_gcd(), clocks[i], index=i) for i in range(n)]
+    gpus = [SimulatedGpu(by_name("LUMI-G").gpu_spec, clocks[i], index=i) for i in range(n)]
     rocm.attach_devices(gpus)
     rocm.rsmi_init()
     return clocks, gpus

@@ -11,7 +11,7 @@ from repro.core import (
     recommend_frequencies,
 )
 from repro.sph import run_instrumented
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 from repro.tuner import tune_all_sph_functions
 
 N = 450**3
@@ -19,7 +19,7 @@ CANDIDATES = [1410.0, 1305.0, 1200.0, 1110.0, 1005.0]
 
 
 def _run(policy, steps=3):
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     try:
         return run_instrumented(
             cluster, "SubsonicTurbulence", N, steps, policy=policy
@@ -64,7 +64,7 @@ def test_predictions_match_third_run(characters):
 
 def test_recommendations_match_kernel_tuner(characters):
     recommended = recommend_frequencies(characters, CANDIDATES)
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     try:
         tuned = tune_all_sph_functions(
             cluster.gpus[0], N, CANDIDATES, iterations=1

@@ -11,7 +11,7 @@ from repro.core import (
     pareto_front,
 )
 from repro.sph import run_instrumented
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 
 # ---------------------------------------------------------------------------
 # Pareto helpers
@@ -72,7 +72,7 @@ CANDIDATES = (1410.0, 1200.0, 1005.0)
 
 
 def _run_auto(steps, rounds=2):
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     try:
         policy = OnlineTuningPolicy(
             cluster.gpus, candidates_mhz=CANDIDATES,
@@ -98,7 +98,7 @@ def test_autodyn_converges_to_offline_tuning_map():
 
 def test_autodyn_saves_energy_after_convergence():
     steps = 20
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     try:
         base = run_instrumented(
             cluster, "SubsonicTurbulence", N, steps,

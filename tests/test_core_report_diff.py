@@ -9,13 +9,13 @@ from repro.core import (
     diff_reports,
 )
 from repro.sph import run_instrumented
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 
 N = 450**3
 
 
 def _run(policy):
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     try:
         return run_instrumented(
             cluster, "SubsonicTurbulence", N, 2, policy=policy

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import baseline_policy
 from repro.sph import Simulation
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 
 
 def test_timeline_one_record_per_step(mini_cluster):
@@ -46,7 +46,7 @@ def test_timeline_varies_under_online_tuning():
     """AutoDyn exploration makes early steps measurably different."""
     from repro.core import OnlineTuningPolicy
 
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     try:
         policy = OnlineTuningPolicy(
             cluster.gpus, candidates_mhz=(1410.0, 1005.0),

@@ -11,17 +11,17 @@ from repro.hardware import (
     NodePowerSpec,
     SimulatedGpu,
     VirtualClock,
-    a100_sxm4_80gb,
-    epyc_7713,
-    mi250x_gcd,
 )
+from repro.systems import by_name
 
 
-def _setup(n_gpus=1, spec=a100_sxm4_80gb, export_dir=None):
+def _setup(n_gpus=1, system="CSCS-A100", export_dir=None):
     clk = VirtualClock()
-    gpus = [SimulatedGpu(spec(), clk, index=i) for i in range(n_gpus)]
+    spec = by_name(system).gpu_spec
+    gpus = [SimulatedGpu(spec, clk, index=i) for i in range(n_gpus)]
     node = ComputeNode(
-        "n0", clk, epyc_7713(), NodePowerSpec(75.0, 235.0), gpus
+        "n0", clk, by_name("CSCS-A100").cpu_spec, NodePowerSpec(75.0, 235.0),
+        gpus,
     )
     pm = PmCounters(node, export_dir=export_dir)
     return clk, node, pm
@@ -62,7 +62,7 @@ def test_counter_set_includes_cpu_memory_accel():
 
 
 def test_accel_counter_is_per_card_on_mi250x():
-    clk, node, pm = _setup(n_gpus=4, spec=mi250x_gcd)
+    clk, node, pm = _setup(n_gpus=4, system="LUMI-G")
     node.gpus[0].execute(KernelLaunch("K", 1e12, 0.0, 1.0))
     clk.advance(0.2)
     card0 = pm.read_energy_j("accel0_energy")

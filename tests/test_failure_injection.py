@@ -12,12 +12,12 @@ from repro.core import (
 from repro.hardware import KernelLaunch
 from repro.slurm import JobSpec, JobState, SlurmController
 from repro.sph import Simulation, run_instrumented
-from repro.systems import Cluster, cscs_a100, mini_hpc
+from repro.systems import Cluster, by_name
 
 
 def test_mandyn_on_restricted_system_fails_with_permission_error():
     """ManDyn needs user-level clock control; CSCS-A100 denies it."""
-    cluster = Cluster(cscs_a100(), 4)
+    cluster = Cluster(by_name("CSCS-A100"), 4)
     try:
         policy = ManDynPolicy({"MomentumEnergy": 1410.0}, default_mhz=1005.0)
         with pytest.raises(nvml.NVMLError) as exc:
@@ -30,7 +30,7 @@ def test_mandyn_on_restricted_system_fails_with_permission_error():
 
 
 def test_static_policy_on_restricted_system_also_denied():
-    cluster = Cluster(cscs_a100(), 4)
+    cluster = Cluster(by_name("CSCS-A100"), 4)
     try:
         with pytest.raises(nvml.NVMLError):
             run_instrumented(
@@ -43,7 +43,7 @@ def test_static_policy_on_restricted_system_also_denied():
 
 def test_device_vanishing_mid_run_raises_not_found():
     """A lost GPU surfaces as an NVML error, not silent wrong numbers."""
-    cluster = Cluster(mini_hpc(), 2)
+    cluster = Cluster(by_name("miniHPC"), 2)
     try:
         ctl = FrequencyController(
             cluster.gpus, ManDynPolicy({"A": 1410.0}, default_mhz=1005.0)
@@ -58,7 +58,7 @@ def test_device_vanishing_mid_run_raises_not_found():
 
 
 def test_slurm_app_crash_preserves_accounting():
-    cluster = Cluster(cscs_a100(), 4)
+    cluster = Cluster(by_name("CSCS-A100"), 4)
     try:
         controller = SlurmController()
         controller.accounting.enable_energy_accounting()
@@ -106,7 +106,7 @@ def test_simulation_survives_policy_for_unsupported_clock(mini_cluster):
 def test_failed_rank_clock_desync_is_visible():
     """If a rank stops participating, collectives surface the hang as
     monotonically growing wait time rather than wrong results."""
-    cluster = Cluster(cscs_a100(), 4)
+    cluster = Cluster(by_name("CSCS-A100"), 4)
     try:
         # Rank 2 races ahead (e.g. it skipped its barrier in a buggy
         # code path); the next barrier drags everyone to its time.

@@ -14,10 +14,11 @@ from repro.faults import (
     OP_PMT_READ,
     preemption_after_steps,
 )
-from repro.hardware import SimulatedGpu, VirtualClock, a100_sxm4_80gb
+from repro.hardware import SimulatedGpu, VirtualClock
 from repro.nvml import NVML_ERROR_GPU_IS_LOST, NVML_ERROR_TIMEOUT, NVMLError
 from repro.pmt import PMT, PowerReadError, State
 from repro.rocm import RSMI_STATUS_BUSY, RocmSmiError
+from repro.systems import by_name
 
 
 class ConstantPowerPMT(PMT):
@@ -37,7 +38,7 @@ class ConstantPowerPMT(PMT):
 @pytest.fixture
 def device():
     clock = VirtualClock()
-    gpu = SimulatedGpu(a100_sxm4_80gb(), clock)
+    gpu = SimulatedGpu(by_name("CSCS-A100").gpu_spec, clock)
     nvml.attach_devices([gpu])
     nvml.nvmlInit()
     return gpu
@@ -163,7 +164,7 @@ def test_latency_burns_time_but_succeeds(device):
 
 def test_rank_filter_spares_other_ranks():
     clock = VirtualClock()
-    gpus = [SimulatedGpu(a100_sxm4_80gb(), clock, index=i) for i in range(2)]
+    gpus = [SimulatedGpu(by_name("CSCS-A100").gpu_spec, clock, index=i) for i in range(2)]
     nvml.attach_devices(gpus)
     nvml.nvmlInit()
     plan = FaultPlan().add(
@@ -182,9 +183,8 @@ def test_rank_filter_spares_other_ranks():
 
 def test_rocm_ops_raise_rocm_errors():
     clock = VirtualClock()
-    from repro.hardware import mi250x_gcd
 
-    gpus = [SimulatedGpu(mi250x_gcd(), clock, index=0)]
+    gpus = [SimulatedGpu(by_name("LUMI-G").gpu_spec, clock, index=0)]
     rocm.attach_devices(gpus)
     rocm.rsmi_init()
     plan = FaultPlan().add(

@@ -28,7 +28,7 @@ from repro.faults import (
 )
 from repro.slurm import JobSpec, JobState, SlurmController
 from repro.sph import run_instrumented
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 from repro.telemetry import TRACK_FAULTS, TraceCollector
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "20240"))
@@ -44,7 +44,7 @@ def _mandyn():
 
 
 def _run_gpu_lost(seed: int, tmp_path, tag: str):
-    cluster = Cluster(mini_hpc(), 2)
+    cluster = Cluster(by_name("miniHPC"), 2)
     collector = TraceCollector.for_cluster(cluster)
     injector = FaultInjector(build_plan("gpu-lost", seed=seed, n_ranks=2))
     try:
@@ -118,7 +118,7 @@ def test_saved_degraded_report_roundtrips(tmp_path):
 
 
 def test_flaky_clocks_scenario_is_absorbed_by_retries():
-    cluster = Cluster(mini_hpc(), 2)
+    cluster = Cluster(by_name("miniHPC"), 2)
     injector = FaultInjector(
         build_plan("flaky-clocks", seed=SEED, n_ranks=2)
     )
@@ -141,7 +141,7 @@ def test_flaky_clocks_scenario_is_absorbed_by_retries():
 
 
 def test_preemption_returns_partial_flagged_result():
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     collector = TraceCollector.for_cluster(cluster)
     plan = FaultPlan(seed=SEED).add(preemption_after_steps(2))
     injector = FaultInjector(plan)
@@ -166,7 +166,7 @@ def test_preemption_returns_partial_flagged_result():
 
 
 def test_slurm_controller_marks_preempted_job():
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     controller = SlurmController()
     controller.accounting.enable_energy_accounting()
     plan = FaultPlan(seed=SEED).add(preemption_after_steps(1))
@@ -201,7 +201,7 @@ def test_injector_without_resilience_still_fails_loud():
     # like an unhandled NVML error in real instrumentation.
     from repro.nvml import NVMLError
 
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     plan = FaultPlan(seed=SEED).add(
         FaultSpec(
             op="nvmlDeviceSetApplicationsClocks",

@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.hardware import KernelLaunch, SimulatedCpu, VirtualClock, epyc_7713
+from repro.hardware import KernelLaunch, SimulatedCpu, VirtualClock
 from repro.slurm import JobSpec, SlurmController
 from repro.sph import run_instrumented
-from repro.systems import Cluster, cscs_a100
+from repro.systems import Cluster, by_name
 
 
 def test_cpu_clock_clamping():
     clk = VirtualClock()
-    cpu = SimulatedCpu(epyc_7713(), clk)
+    cpu = SimulatedCpu(by_name("CSCS-A100").cpu_spec, clk)
     assert cpu.frequency_khz == cpu.spec.nominal_freq_khz
     assert cpu.set_frequency_khz(1_800_000) == 1_800_000
     assert cpu.set_frequency_khz(100) == cpu.spec.min_freq_khz
@@ -19,7 +19,7 @@ def test_cpu_clock_clamping():
 
 def test_downclocking_reduces_cpu_power():
     clk = VirtualClock()
-    cpu = SimulatedCpu(epyc_7713(), clk)
+    cpu = SimulatedCpu(by_name("CSCS-A100").cpu_spec, clk)
     p_nominal = cpu.power_w()
     cpu.set_frequency_khz(1_500_000)
     assert cpu.power_w() < p_nominal
@@ -32,7 +32,7 @@ def test_downclocking_reduces_cpu_power():
 
 def test_slowdown_factor():
     clk = VirtualClock()
-    cpu = SimulatedCpu(epyc_7713(), clk)
+    cpu = SimulatedCpu(by_name("CSCS-A100").cpu_spec, clk)
     assert cpu.slowdown_factor == pytest.approx(1.0)
     cpu.set_frequency_khz(cpu.spec.nominal_freq_khz // 2)
     assert cpu.slowdown_factor == pytest.approx(
@@ -42,7 +42,7 @@ def test_slowdown_factor():
 
 
 def test_cpu_freq_applies_through_slurm():
-    cluster = Cluster(cscs_a100(), 4)
+    cluster = Cluster(by_name("CSCS-A100"), 4)
     controller = SlurmController()
 
     def app(cl, job):
@@ -63,7 +63,7 @@ def test_cpu_freq_applies_through_slurm():
 
 def test_cpu_downclock_slows_host_phases_only():
     def run(freq_khz):
-        cluster = Cluster(cscs_a100(), 4)
+        cluster = Cluster(by_name("CSCS-A100"), 4)
         try:
             if freq_khz:
                 cluster.apply_cpu_frequency_khz(freq_khz)

@@ -2,17 +2,18 @@
 
 import pytest
 
-from repro.hardware import DvfsGovernor, a100_sxm4_80gb
+from repro.hardware import DvfsGovernor
+from repro.systems import by_name
 from repro.units import mhz, to_mhz
 
 
 @pytest.fixture
 def gov():
-    return DvfsGovernor(a100_sxm4_80gb())
+    return DvfsGovernor(by_name("CSCS-A100").gpu_spec)
 
 
 def test_initial_clock_is_supported(gov):
-    spec = a100_sxm4_80gb()
+    spec = by_name("CSCS-A100").gpu_spec
     assert gov.clock_hz in spec.supported_clocks_hz()
 
 
@@ -46,7 +47,7 @@ def test_idle_decays_below_1000(gov):
 
 def test_long_idle_approaches_idle_clock(gov):
     gov.observe_idle(5.0)
-    assert gov.clock_hz <= a100_sxm4_80gb().governor.idle_clock_hz + mhz(30)
+    assert gov.clock_hz <= by_name("CSCS-A100").gpu_spec.governor.idle_clock_hz + mhz(30)
 
 
 def test_utilization_estimate_bounded(gov):

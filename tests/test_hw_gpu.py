@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.hardware import (
-    GpuError,
-    KernelLaunch,
-    SimulatedGpu,
-    VirtualClock,
-    a100_sxm4_80gb,
-)
+from repro.hardware import GpuError, KernelLaunch, SimulatedGpu, VirtualClock
+from repro.systems import by_name
 from repro.units import mhz, to_mhz
 
 
@@ -136,8 +131,8 @@ def test_cannot_change_clocks_mid_kernel(a100):
 
 def test_two_gpus_on_one_clock_both_integrate():
     clk = VirtualClock()
-    g1 = SimulatedGpu(a100_sxm4_80gb(), clk, index=0)
-    g2 = SimulatedGpu(a100_sxm4_80gb(), clk, index=1)
+    g1 = SimulatedGpu(by_name("CSCS-A100").gpu_spec, clk, index=0)
+    g2 = SimulatedGpu(by_name("CSCS-A100").gpu_spec, clk, index=1)
     g1.execute(_kernel())
     # g2 idles while g1 runs (shared clock).
     assert g2.energy_j > 0

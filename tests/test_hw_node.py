@@ -9,31 +9,30 @@ from repro.hardware import (
     SimulatedCpu,
     SimulatedGpu,
     VirtualClock,
-    a100_sxm4_80gb,
-    epyc_7713,
-    mi250x_gcd,
 )
+from repro.systems import by_name
 
 
-def _node(n_gpus=2, spec_factory=a100_sxm4_80gb):
+def _node(n_gpus=2):
     clk = VirtualClock()
-    gpus = [SimulatedGpu(spec_factory(), clk, index=i) for i in range(n_gpus)]
+    spec = by_name("CSCS-A100").gpu_spec
+    gpus = [SimulatedGpu(spec, clk, index=i) for i in range(n_gpus)]
     node = ComputeNode(
-        "node0", clk, epyc_7713(), NodePowerSpec(75.0, 235.0), gpus
+        "node0", clk, by_name("CSCS-A100").cpu_spec, NodePowerSpec(75.0, 235.0), gpus
     )
     return clk, node
 
 
 def test_cpu_energy_accrues_with_time():
     clk = VirtualClock()
-    cpu = SimulatedCpu(epyc_7713(), clk)
+    cpu = SimulatedCpu(by_name("CSCS-A100").cpu_spec, clk)
     clk.advance(10.0)
     assert cpu.energy_j == pytest.approx(cpu.power_w() * 10.0)
 
 
 def test_cpu_activity_changes_power():
     clk = VirtualClock()
-    cpu = SimulatedCpu(epyc_7713(), clk)
+    cpu = SimulatedCpu(by_name("CSCS-A100").cpu_spec, clk)
     low = cpu.power_w()
     cpu.set_activity(0.9)
     assert cpu.power_w() > low
@@ -71,9 +70,9 @@ def test_accel_energy_per_card_single_gcd():
 
 def test_mi250x_cards_group_two_gcds():
     clk = VirtualClock()
-    gpus = [SimulatedGpu(mi250x_gcd(), clk, index=i) for i in range(8)]
+    gpus = [SimulatedGpu(by_name("LUMI-G").gpu_spec, clk, index=i) for i in range(8)]
     node = ComputeNode(
-        "lumi0", clk, epyc_7713(), NodePowerSpec(150.0, 350.0), gpus
+        "lumi0", clk, by_name("CSCS-A100").cpu_spec, NodePowerSpec(150.0, 350.0), gpus
     )
     assert node.num_cards == 4
     assert node.gcds_per_card == 2
@@ -87,9 +86,9 @@ def test_mi250x_cards_group_two_gcds():
 def test_partial_trailing_card_allowed():
     # An allocation may use only one GCD of the last MI250X card.
     clk = VirtualClock()
-    gpus = [SimulatedGpu(mi250x_gcd(), clk, index=i) for i in range(3)]
+    gpus = [SimulatedGpu(by_name("LUMI-G").gpu_spec, clk, index=i) for i in range(3)]
     node = ComputeNode(
-        "partial", clk, epyc_7713(), NodePowerSpec(1.0, 1.0), gpus
+        "partial", clk, by_name("CSCS-A100").cpu_spec, NodePowerSpec(1.0, 1.0), gpus
     )
     assert node.num_cards == 2
     assert len(node.card_gpus(1)) == 1
@@ -100,7 +99,7 @@ def test_partial_trailing_card_allowed():
 def test_empty_node_rejected():
     clk = VirtualClock()
     with pytest.raises(ValueError):
-        ComputeNode("bad", clk, epyc_7713(), NodePowerSpec(1.0, 1.0), [])
+        ComputeNode("bad", clk, by_name("CSCS-A100").cpu_spec, NodePowerSpec(1.0, 1.0), [])
 
 
 def test_card_index_bounds():

@@ -3,24 +3,19 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.hardware import (
-    GpuPerfModel,
-    GpuPowerModel,
-    KernelLaunch,
-    a100_sxm4_80gb,
-    mi250x_gcd,
-)
+from repro.hardware import GpuPerfModel, GpuPowerModel, KernelLaunch
+from repro.systems import by_name
 from repro.units import mhz
 
 
 @pytest.fixture
 def perf():
-    return GpuPerfModel(a100_sxm4_80gb())
+    return GpuPerfModel(by_name("CSCS-A100").gpu_spec)
 
 
 @pytest.fixture
 def power():
-    return GpuPowerModel(a100_sxm4_80gb())
+    return GpuPowerModel(by_name("CSCS-A100").gpu_spec)
 
 
 def _kernel(flops=1e12, nbytes=1e11, intensity=1.0):
@@ -50,10 +45,10 @@ def test_mixed_kernel_slowdown_follows_kappa(perf):
 
 
 def test_arch_efficiency_slows_named_kernels():
-    amd = GpuPerfModel(mi250x_gcd())
+    amd = GpuPerfModel(by_name("LUMI-G").gpu_spec)
     mom = KernelLaunch("MomentumEnergy", flops=1e12, bytes_moved=0.0)
     other = KernelLaunch("XMass", flops=1e12, bytes_moved=0.0)
-    f = mi250x_gcd().max_clock_hz
+    f = by_name("LUMI-G").gpu_spec.max_clock_hz
     assert amd.duration(mom, f) > amd.duration(other, f)
 
 
@@ -63,13 +58,13 @@ def test_zero_clock_rejected(perf):
 
 
 def test_busy_power_at_max_clock_full_intensity_is_tdp(power):
-    spec = a100_sxm4_80gb()
+    spec = by_name("CSCS-A100").gpu_spec
     p = power.busy_power_w(spec.max_clock_hz, 1.0)
     assert p == pytest.approx(spec.max_power_w)
 
 
 def test_busy_power_decreases_with_clock(power):
-    spec = a100_sxm4_80gb()
+    spec = by_name("CSCS-A100").gpu_spec
     assert power.busy_power_w(mhz(1005), 1.0) < power.busy_power_w(
         spec.max_clock_hz, 1.0
     )
@@ -90,7 +85,7 @@ def test_voltage_margin_raises_power_up_to_cap(power):
 
 
 def test_idle_power_below_busy_and_clock_dependent(power):
-    spec = a100_sxm4_80gb()
+    spec = by_name("CSCS-A100").gpu_spec
     idle_hi = power.idle_power_w(spec.max_clock_hz)
     idle_lo = power.idle_power_w(spec.min_clock_hz)
     assert idle_lo < idle_hi <= spec.idle_power_w
@@ -107,15 +102,15 @@ def test_invalid_intensity_rejected(power):
     st.floats(min_value=0.0, max_value=1.0),
 )
 def test_power_bounded_by_idle_and_tdp(f_mhz, intensity):
-    power = GpuPowerModel(a100_sxm4_80gb())
-    spec = a100_sxm4_80gb()
+    power = GpuPowerModel(by_name("CSCS-A100").gpu_spec)
+    spec = by_name("CSCS-A100").gpu_spec
     p = power.busy_power_w(mhz(f_mhz), intensity)
     assert spec.idle_power_w <= p <= spec.max_power_w + 1e-9
 
 
 @given(st.floats(min_value=210.0, max_value=1409.0))
 def test_power_monotone_in_clock(f_mhz):
-    power = GpuPowerModel(a100_sxm4_80gb())
+    power = GpuPowerModel(by_name("CSCS-A100").gpu_spec)
     assert power.busy_power_w(mhz(f_mhz), 1.0) <= power.busy_power_w(
         mhz(f_mhz + 1.0), 1.0
     )

@@ -1,22 +1,15 @@
-"""Device spec presets and clock quantization."""
+"""Shipped device specs (through the catalog) and clock quantization."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.hardware import (
-    GpuSpec,
-    a100_pcie_40gb,
-    a100_sxm4_80gb,
-    epyc_7713,
-    epyc_7a53,
-    mi250x_gcd,
-    xeon_6258r_pair,
-)
+from repro.hardware import GpuSpec
+from repro.systems import by_name
 from repro.units import mhz, to_mhz
 
 
 def test_a100_sxm_clock_range_matches_table1():
-    spec = a100_sxm4_80gb()
+    spec = by_name("CSCS-A100").gpu_spec
     assert to_mhz(spec.max_clock_hz) == 1410.0
     assert to_mhz(spec.memory_clock_hz) == 1593.0
     assert spec.vendor == "nvidia"
@@ -24,7 +17,7 @@ def test_a100_sxm_clock_range_matches_table1():
 
 
 def test_mi250x_matches_table1():
-    spec = mi250x_gcd()
+    spec = by_name("LUMI-G").gpu_spec
     assert to_mhz(spec.max_clock_hz) == 1700.0
     assert to_mhz(spec.memory_clock_hz) == 1600.0
     assert spec.vendor == "amd"
@@ -32,7 +25,7 @@ def test_mi250x_matches_table1():
 
 
 def test_supported_clocks_descending_and_within_range():
-    spec = a100_sxm4_80gb()
+    spec = by_name("CSCS-A100").gpu_spec
     clocks = spec.supported_clocks_hz()
     assert clocks[0] == spec.max_clock_hz
     assert clocks[-1] >= spec.min_clock_hz
@@ -42,32 +35,32 @@ def test_supported_clocks_descending_and_within_range():
 
 
 def test_quantize_snaps_to_nearest_bin():
-    spec = a100_sxm4_80gb()
+    spec = by_name("CSCS-A100").gpu_spec
     assert to_mhz(spec.quantize_clock_hz(mhz(1004.0))) == 1005.0
     assert to_mhz(spec.quantize_clock_hz(mhz(1012.0))) == 1005.0
     assert to_mhz(spec.quantize_clock_hz(mhz(1013.0))) == 1020.0
 
 
 def test_quantize_clamps_out_of_range():
-    spec = a100_sxm4_80gb()
+    spec = by_name("CSCS-A100").gpu_spec
     assert spec.quantize_clock_hz(mhz(5000.0)) == spec.max_clock_hz
     assert spec.quantize_clock_hz(mhz(1.0)) == spec.min_clock_hz
 
 
 @given(st.floats(min_value=1.0, max_value=5000.0))
 def test_quantize_always_returns_supported_clock(req_mhz):
-    spec = a100_sxm4_80gb()
+    spec = by_name("CSCS-A100").gpu_spec
     q = spec.quantize_clock_hz(mhz(req_mhz))
     assert q in spec.supported_clocks_hz()
 
 
 def test_dynamic_power_positive_for_all_presets():
-    for spec in (a100_sxm4_80gb(), a100_pcie_40gb(), mi250x_gcd()):
-        assert spec.dynamic_power_w > 0
+    for system in ("CSCS-A100", "miniHPC", "LUMI-G"):
+        assert by_name(system).gpu_spec.dynamic_power_w > 0
 
 
 def test_invalid_spec_rejected():
-    spec = a100_sxm4_80gb()
+    spec = by_name("CSCS-A100").gpu_spec
     with pytest.raises(ValueError):
         GpuSpec(
             name="bad",
@@ -87,15 +80,15 @@ def test_invalid_spec_rejected():
 
 
 def test_kernel_efficiency_defaults_to_one():
-    spec = a100_sxm4_80gb()
+    spec = by_name("CSCS-A100").gpu_spec
     assert spec.kernel_efficiency("MomentumEnergy") == 1.0
-    amd = mi250x_gcd()
+    amd = by_name("LUMI-G").gpu_spec
     assert amd.kernel_efficiency("MomentumEnergy") < 1.0
     assert amd.kernel_efficiency("UnknownKernel") == 1.0
 
 
 def test_cpu_power_interpolates_between_idle_and_active():
-    cpu = epyc_7713()
+    cpu = by_name("CSCS-A100").cpu_spec
     assert cpu.power_w(0.0) == cpu.idle_power_w
     assert cpu.power_w(1.0) == cpu.active_power_w
     mid = cpu.power_w(0.5)
@@ -103,6 +96,6 @@ def test_cpu_power_interpolates_between_idle_and_active():
 
 
 def test_cpu_presets_core_counts():
-    assert epyc_7713().cores == 64
-    assert epyc_7a53().cores == 64
-    assert xeon_6258r_pair().cores == 56
+    assert by_name("CSCS-A100").cpu_spec.cores == 64
+    assert by_name("LUMI-G").cpu_spec.cores == 64
+    assert by_name("miniHPC").cpu_spec.cores == 56

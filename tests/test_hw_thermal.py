@@ -10,15 +10,14 @@ from repro.hardware import (
     SimulatedGpu,
     ThermalSpec,
     VirtualClock,
-    a100_pcie_40gb,
-    a100_sxm4_80gb,
 )
+from repro.systems import by_name
 from repro.units import mhz, to_mhz
 
 
 def _hot_spec():
     """An A100 with constrained cooling: full power exceeds the limit."""
-    base = a100_pcie_40gb()
+    base = by_name("miniHPC").gpu_spec
     return dataclasses.replace(
         base,
         thermal=ThermalSpec(
@@ -31,7 +30,7 @@ def _hot_spec():
 
 
 def test_idle_device_stays_at_ambient():
-    gpu = SimulatedGpu(a100_sxm4_80gb(), VirtualClock())
+    gpu = SimulatedGpu(by_name("CSCS-A100").gpu_spec, VirtualClock())
     gpu.clock.advance(100.0)
     # Idle draw warms the die a little above ambient, far below limit.
     assert gpu.temperature_c < 45.0
@@ -39,7 +38,7 @@ def test_idle_device_stays_at_ambient():
 
 
 def test_temperature_rises_under_load_toward_steady_state():
-    gpu = SimulatedGpu(a100_sxm4_80gb(), VirtualClock())
+    gpu = SimulatedGpu(by_name("CSCS-A100").gpu_spec, VirtualClock())
     spec = gpu.spec
     k = KernelLaunch("K", flops=5e13, bytes_moved=0.0, power_intensity=1.0)
     t0 = gpu.temperature_c
@@ -54,14 +53,14 @@ def test_temperature_rises_under_load_toward_steady_state():
 
 
 def test_stock_presets_never_throttle_at_full_power():
-    for factory in (a100_sxm4_80gb, a100_pcie_40gb):
-        spec = factory()
+    for system in ("CSCS-A100", "miniHPC"):
+        spec = by_name(system).gpu_spec
         steady = spec.thermal.steady_state_c(spec.max_power_w)
         assert steady < spec.thermal.throttle_temp_c
 
 
 def test_temperature_cools_when_idle():
-    gpu = SimulatedGpu(a100_sxm4_80gb(), VirtualClock())
+    gpu = SimulatedGpu(by_name("CSCS-A100").gpu_spec, VirtualClock())
     k = KernelLaunch("K", flops=5e13, bytes_moved=0.0, power_intensity=1.0)
     for _ in range(10):
         gpu.execute(k)
@@ -83,7 +82,7 @@ def test_constrained_cooling_triggers_throttling():
 
 
 def test_throttling_slows_execution():
-    cool = SimulatedGpu(a100_pcie_40gb(), VirtualClock())
+    cool = SimulatedGpu(by_name("miniHPC").gpu_spec, VirtualClock())
     hot = SimulatedGpu(_hot_spec(), VirtualClock())
     k = KernelLaunch("K", flops=2e13, bytes_moved=0.0, power_intensity=1.0)
     d_cool = sum(cool.execute(k) for _ in range(30))
@@ -110,7 +109,7 @@ def test_throttle_cap_floor():
 
 def test_nvml_reports_model_temperature():
     clk = VirtualClock()
-    gpu = SimulatedGpu(a100_sxm4_80gb(), clk)
+    gpu = SimulatedGpu(by_name("CSCS-A100").gpu_spec, clk)
     nvml.attach_devices([gpu])
     nvml.nvmlInit()
     h = nvml.nvmlDeviceGetHandleByIndex(0)

@@ -4,22 +4,17 @@ import pytest
 
 from repro import levelzero
 from repro.core import FrequencyController, ManDynPolicy, baseline_policy
-from repro.hardware import (
-    KernelLaunch,
-    SimulatedGpu,
-    VirtualClock,
-    intel_max_1550,
-)
+from repro.hardware import KernelLaunch, SimulatedGpu, VirtualClock
 from repro.pmt import PMT, create
 from repro.sph import run_instrumented
-from repro.systems import Cluster, aurora_pvc
+from repro.systems import Cluster, by_name
 from repro.units import mhz, to_mhz
 
 
 @pytest.fixture
 def pvc():
     clk = VirtualClock()
-    gpus = [SimulatedGpu(intel_max_1550(), clk, index=i) for i in range(2)]
+    gpus = [SimulatedGpu(by_name("Aurora-PVC").gpu_spec, clk, index=i) for i in range(2)]
     levelzero.attach_devices(gpus)
     levelzero.zesInit()
     return gpus
@@ -109,7 +104,7 @@ def test_controller_drives_intel_devices(pvc):
 
 
 def test_aurora_cluster_end_to_end():
-    cluster = Cluster(aurora_pvc(), 6)
+    cluster = Cluster(by_name("Aurora-PVC"), 6)
     try:
         base = run_instrumented(
             cluster, "SubsonicTurbulence", 20e6, 2,
@@ -119,7 +114,7 @@ def test_aurora_cluster_end_to_end():
     finally:
         cluster.detach_management_library()
 
-    cluster2 = Cluster(aurora_pvc(), 6)
+    cluster2 = Cluster(by_name("Aurora-PVC"), 6)
     try:
         mandyn = run_instrumented(
             cluster2, "SubsonicTurbulence", 20e6, 2,

@@ -11,7 +11,6 @@ from repro.hardware import (
     SimulatedGpu,
     ThermalSpec,
     VirtualClock,
-    a100_pcie_40gb,
 )
 from repro.monitor import (
     Alert,
@@ -24,7 +23,7 @@ from repro.monitor import (
     stalled_worker_alerts,
 )
 from repro.sph import run_instrumented
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 from repro.telemetry import TRACK_FAULTS, TraceCollector
 
 
@@ -121,7 +120,7 @@ def test_engine_rejects_duplicate_rule_names():
 def test_default_rules_power_cap_needs_spec():
     names = {r.name for r in default_rules()}
     assert "power_cap_proximity" not in names
-    names = {r.name for r in default_rules(gpu_spec=a100_pcie_40gb())}
+    names = {r.name for r in default_rules(gpu_spec=by_name("miniHPC").gpu_spec)}
     assert "power_cap_proximity" in names
     assert {"clock_throttle_detected", "sampler_gap",
             "clock_set_failures"} <= names
@@ -132,7 +131,7 @@ def test_default_rules_power_cap_needs_spec():
 
 def _hot_spec():
     """Constrained cooling: sustained full power must throttle."""
-    base = a100_pcie_40gb()
+    base = by_name("miniHPC").gpu_spec
     return dataclasses.replace(
         base,
         thermal=ThermalSpec(
@@ -165,7 +164,7 @@ def test_clock_throttle_detected_fires_on_hot_device():
 
 def test_sampler_gap_rule_fires_on_unobservable_interval():
     clock = VirtualClock()
-    gpu = SimulatedGpu(a100_pcie_40gb(), clock)
+    gpu = SimulatedGpu(by_name("miniHPC").gpu_spec, clock)
     engine = AlertEngine(default_rules())
     sampler = DeviceSampler(
         [gpu], [clock], period_s=0.05, alerts=engine
@@ -184,7 +183,7 @@ def test_clock_set_failures_fires_under_flaky_clocks_scenario():
     monitor = Monitor(
         MonitorConfig(period_s=0.02), telemetry=collector
     )
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     try:
         result = run_instrumented(
             cluster,

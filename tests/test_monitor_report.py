@@ -13,7 +13,7 @@ from repro.monitor import (
     write_json_snapshot,
 )
 from repro.sph import run_instrumented
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 from repro.telemetry import TraceCollector
 
 
@@ -22,7 +22,7 @@ def monitored_run():
     """One real monitored sedov run shared by the report tests."""
     collector = TraceCollector(max_events=50_000)
     monitor = Monitor(MonitorConfig(period_s=0.02), telemetry=collector)
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     try:
         result = run_instrumented(
             cluster, "SedovBlast", 100_000, 4,
@@ -117,12 +117,12 @@ def test_write_json_snapshot_roundtrips(tmp_path, monitored_run):
 
 def test_build_report_flat_series_renders():
     # A constant series (vmin == vmax) must not divide by zero.
-    from repro.hardware import SimulatedGpu, VirtualClock, a100_pcie_40gb
+    from repro.hardware import SimulatedGpu, VirtualClock
     from repro.monitor import DeviceSampler
 
     clock = VirtualClock()
     sampler = DeviceSampler(
-        [SimulatedGpu(a100_pcie_40gb(), clock)], [clock], period_s=0.1
+        [SimulatedGpu(by_name("miniHPC").gpu_spec, clock)], [clock], period_s=0.1
     )
     sampler.start()
     for _ in range(5):

@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.hardware import KernelLaunch, SimulatedGpu, VirtualClock, a100_pcie_40gb
+from repro.hardware import KernelLaunch, SimulatedGpu, VirtualClock
 from repro.monitor import DEVICE_SERIES, DeviceSampler
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 from repro.telemetry import TRACK_FAULTS, TraceCollector
 
 
 def _sampler(period_s=0.05, **kwargs):
     clock = VirtualClock()
-    gpu = SimulatedGpu(a100_pcie_40gb(), clock)
+    gpu = SimulatedGpu(by_name("miniHPC").gpu_spec, clock)
     return DeviceSampler([gpu], [clock], period_s=period_s, **kwargs), gpu, clock
 
 
@@ -121,7 +121,7 @@ def test_observe_external_gap_counts_ticks():
 
 
 def test_for_cluster_covers_every_rank():
-    cluster = Cluster(mini_hpc(), 2)
+    cluster = Cluster(by_name("miniHPC"), 2)
     try:
         sampler = DeviceSampler.for_cluster(cluster, period_s=0.05)
         sampler.start()
@@ -149,7 +149,7 @@ def test_sampler_lifecycle_guards():
 
 def test_sampler_validates_construction():
     clock = VirtualClock()
-    gpu = SimulatedGpu(a100_pcie_40gb(), clock)
+    gpu = SimulatedGpu(by_name("miniHPC").gpu_spec, clock)
     with pytest.raises(ValueError):
         DeviceSampler([gpu], [])
     with pytest.raises(ValueError):

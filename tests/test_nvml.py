@@ -3,14 +3,15 @@
 import pytest
 
 from repro import nvml
-from repro.hardware import KernelLaunch, SimulatedGpu, VirtualClock, a100_sxm4_80gb
+from repro.hardware import KernelLaunch, SimulatedGpu, VirtualClock
+from repro.systems import by_name
 from repro.units import mhz
 
 
 @pytest.fixture
 def devices():
     clk = VirtualClock()
-    gpus = [SimulatedGpu(a100_sxm4_80gb(), clk, index=i) for i in range(2)]
+    gpus = [SimulatedGpu(by_name("CSCS-A100").gpu_spec, clk, index=i) for i in range(2)]
     nvml.attach_devices(gpus)
     nvml.nvmlInit()
     return gpus
@@ -77,7 +78,7 @@ def test_reset_applications_clocks_enables_governor(devices):
 
 def test_clock_control_permission_denied():
     clk = VirtualClock()
-    gpus = [SimulatedGpu(a100_sxm4_80gb(), clk)]
+    gpus = [SimulatedGpu(by_name("CSCS-A100").gpu_spec, clk)]
     nvml.attach_devices(gpus, allow_clock_control=False)
     nvml.nvmlInit()
     h = nvml.nvmlDeviceGetHandleByIndex(0)

@@ -18,7 +18,7 @@ from repro.core import (
 )
 from repro.slurm import JobSpec, SlurmController
 from repro.sph import run_instrumented
-from repro.systems import Cluster, cscs_a100, lumi_g, mini_hpc
+from repro.systems import Cluster, by_name
 from repro.tuner import tune_all_sph_functions
 
 N_450 = 450**3  # 91.1M particles, the paper's miniHPC problem size
@@ -40,20 +40,20 @@ def policy_runs():
     """Baseline / static-1005 / ManDyn / DVFS runs on miniHPC."""
     runs = {}
     runs["baseline"] = _run(
-        mini_hpc(), 1, "SubsonicTurbulence", N_450, baseline_policy(1410)
+        by_name("miniHPC"), 1, "SubsonicTurbulence", N_450, baseline_policy(1410)
     )
     runs["static1005"] = _run(
-        mini_hpc(), 1, "SubsonicTurbulence", N_450, StaticFrequencyPolicy(1005)
+        by_name("miniHPC"), 1, "SubsonicTurbulence", N_450, StaticFrequencyPolicy(1005)
     )
     runs["mandyn"] = _run(
-        mini_hpc(), 1, "SubsonicTurbulence", N_450,
+        by_name("miniHPC"), 1, "SubsonicTurbulence", N_450,
         ManDynPolicy(
             {"MomentumEnergy": 1410.0, "IADVelocityDivCurl": 1410.0},
             default_mhz=1005.0,
         ),
     )
     runs["dvfs"] = _run(
-        mini_hpc(), 1, "SubsonicTurbulence", N_450, DvfsPolicy()
+        by_name("miniHPC"), 1, "SubsonicTurbulence", N_450, DvfsPolicy()
     )
     return runs
 
@@ -142,7 +142,7 @@ def test_fig8_per_function_ratios(policy_runs):
 
 
 def test_fig2_tuned_frequencies_by_kernel_class():
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     try:
         freqs = [1410 - 15 * k for k in range(0, 28, 3)]
         best = tune_all_sph_functions(
@@ -172,7 +172,7 @@ def test_fig6_underutilized_gpu_has_interior_edp_optimum():
         series = {}
         for f in freqs:
             run = _run(
-                mini_hpc(), 1, "SubsonicTurbulence", n,
+                by_name("miniHPC"), 1, "SubsonicTurbulence", n,
                 StaticFrequencyPolicy(f), steps=2,
             )
             series[f] = run.edp
@@ -197,7 +197,7 @@ def test_fig6_underutilized_gpu_has_interior_edp_optimum():
 
 
 def test_fig4_gpu_dominates_energy():
-    cluster = Cluster(cscs_a100(), 4)
+    cluster = Cluster(by_name("CSCS-A100"), 4)
     try:
         run_instrumented(cluster, "SubsonicTurbulence", 150e6, 2)
         breakdown = cluster.device_energy_breakdown_j()
@@ -213,8 +213,8 @@ def test_fig4_gpu_dominates_energy():
 
 
 def test_fig5_momentum_energy_share_larger_on_amd():
-    res_cscs = _run(cscs_a100(), 4, "SubsonicTurbulence", 150e6, steps=2)
-    res_lumi = _run(lumi_g(), 8, "SubsonicTurbulence", 150e6, steps=2)
+    res_cscs = _run(by_name("CSCS-A100"), 4, "SubsonicTurbulence", 150e6, steps=2)
+    res_lumi = _run(by_name("LUMI-G"), 8, "SubsonicTurbulence", 150e6, steps=2)
     share_cscs = function_share_percent(res_cscs.report, "GPU")[
         "MomentumEnergy"
     ]
@@ -227,7 +227,7 @@ def test_fig5_momentum_energy_share_larger_on_amd():
 
 
 def test_fig5_evrard_adds_gravity_slice():
-    res = _run(cscs_a100(), 4, "EvrardCollapse", 80e6, steps=2)
+    res = _run(by_name("CSCS-A100"), 4, "EvrardCollapse", 80e6, steps=2)
     shares = function_share_percent(res.report, "GPU")
     assert shares.get("Gravity", 0.0) > 5.0
 
@@ -238,7 +238,7 @@ def test_fig5_evrard_adds_gravity_slice():
 
 
 def test_fig3_pmt_below_slurm_by_setup_energy():
-    cluster = Cluster(cscs_a100(), 8)
+    cluster = Cluster(by_name("CSCS-A100"), 8)
     try:
         controller = SlurmController()
         controller.accounting.enable_energy_accounting()
@@ -270,7 +270,7 @@ def test_fig3_pmt_below_slurm_by_setup_energy():
 
 
 def test_fig9_dvfs_trace_structure():
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     try:
         from repro.sph import Simulation
 

@@ -11,12 +11,10 @@ from repro.hardware import (
     SimulatedCpu,
     SimulatedGpu,
     VirtualClock,
-    a100_sxm4_80gb,
-    epyc_7713,
-    mi250x_gcd,
 )
 from repro.pmt import PMT, RaplPMT, State, create
 from repro.pmt.rapl_backend import RAPL_ENERGY_UNIT_J
+from repro.systems import by_name
 
 
 def test_state_diff_helpers():
@@ -45,7 +43,7 @@ def test_dummy_backend_zero_but_timed():
 
 def test_nvml_backend_measures_kernel():
     clk = VirtualClock()
-    gpu = SimulatedGpu(a100_sxm4_80gb(), clk)
+    gpu = SimulatedGpu(by_name("CSCS-A100").gpu_spec, clk)
     nvml.attach_devices([gpu])
     sensor = create("nvml", device_index=0)
     begin = sensor.read()
@@ -57,7 +55,7 @@ def test_nvml_backend_measures_kernel():
 
 def test_nvml_backend_measure_context():
     clk = VirtualClock()
-    gpu = SimulatedGpu(a100_sxm4_80gb(), clk)
+    gpu = SimulatedGpu(by_name("CSCS-A100").gpu_spec, clk)
     nvml.attach_devices([gpu])
     sensor = create("nvml", device_index=0)
     with sensor.measure() as m:
@@ -68,7 +66,7 @@ def test_nvml_backend_measure_context():
 
 def test_rocm_backend_card_share():
     clk = VirtualClock()
-    gcds = [SimulatedGpu(mi250x_gcd(), clk, index=i) for i in range(2)]
+    gcds = [SimulatedGpu(by_name("LUMI-G").gpu_spec, clk, index=i) for i in range(2)]
     rocm.attach_devices(gcds)
     raw = create("rocm", device_index=0)
     shared = create("rocm", device_index=0, card_share=True)
@@ -78,7 +76,7 @@ def test_rocm_backend_card_share():
 
 def test_rapl_backend_unwraps_counter():
     clk = VirtualClock()
-    cpu = SimulatedCpu(epyc_7713(), clk)
+    cpu = SimulatedCpu(by_name("CSCS-A100").cpu_spec, clk)
     sensor = RaplPMT(cpu)
     # One wrap is ~65.5 kJ; at ~110 W idle-ish that's ~600 s. Advance
     # in sub-wrap chunks past several wraps and check continuity.
@@ -97,7 +95,7 @@ def test_rapl_backend_unwraps_counter():
 
 def test_rapl_raw_counter_wraps():
     clk = VirtualClock()
-    cpu = SimulatedCpu(epyc_7713(), clk)
+    cpu = SimulatedCpu(by_name("CSCS-A100").cpu_spec, clk)
     from repro.pmt.rapl_backend import RAPL_COUNTER_WRAP, RaplCounter
 
     counter = RaplCounter(cpu)
@@ -107,15 +105,15 @@ def test_rapl_raw_counter_wraps():
 
 def test_likwid_alias_is_rapl():
     clk = VirtualClock()
-    cpu = SimulatedCpu(epyc_7713(), clk)
+    cpu = SimulatedCpu(by_name("CSCS-A100").cpu_spec, clk)
     sensor = create("likwid", cpu=cpu)
     assert isinstance(sensor, RaplPMT)
 
 
 def test_cray_backend_reads_pm_counters():
     clk = VirtualClock()
-    gpus = [SimulatedGpu(a100_sxm4_80gb(), clk)]
-    node = ComputeNode("n0", clk, epyc_7713(), NodePowerSpec(75, 235), gpus)
+    gpus = [SimulatedGpu(by_name("CSCS-A100").gpu_spec, clk)]
+    node = ComputeNode("n0", clk, by_name("CSCS-A100").cpu_spec, NodePowerSpec(75, 235), gpus)
     pm = PmCounters(node)
     sensor = create("cray", counters=pm, counter="energy", clock=clk)
     s0 = sensor.read()
@@ -126,8 +124,8 @@ def test_cray_backend_reads_pm_counters():
 
 def test_cray_backend_invalid_counter():
     clk = VirtualClock()
-    gpus = [SimulatedGpu(a100_sxm4_80gb(), clk)]
-    node = ComputeNode("n0", clk, epyc_7713(), NodePowerSpec(75, 235), gpus)
+    gpus = [SimulatedGpu(by_name("CSCS-A100").gpu_spec, clk)]
+    node = ComputeNode("n0", clk, by_name("CSCS-A100").cpu_spec, NodePowerSpec(75, 235), gpus)
     pm = PmCounters(node)
     with pytest.raises(FileNotFoundError):
         create("cray", counters=pm, counter="bogus_energy", clock=clk)

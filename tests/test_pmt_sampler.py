@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from repro import nvml
-from repro.hardware import KernelLaunch, SimulatedGpu, VirtualClock, a100_sxm4_80gb
+from repro.hardware import KernelLaunch, SimulatedGpu, VirtualClock
 from repro.pmt import PmtSampler, create
+from repro.systems import by_name
 
 
 @pytest.fixture
 def rig():
     clk = VirtualClock()
-    gpu = SimulatedGpu(a100_sxm4_80gb(), clk)
+    gpu = SimulatedGpu(by_name("CSCS-A100").gpu_spec, clk)
     nvml.attach_devices([gpu])
     sensor = create("nvml", device_index=0)
     return clk, gpu, sensor

@@ -11,12 +11,12 @@ from repro.hardware import (
     KernelLaunch,
     SimulatedGpu,
     VirtualClock,
-    a100_sxm4_80gb,
 )
 from repro.sph import WorkloadModel
+from repro.systems import by_name
 from repro.units import mhz
 
-SPEC = a100_sxm4_80gb()
+SPEC = by_name("CSCS-A100").gpu_spec
 
 clock_mhz = st.sampled_from(
     [round(c / 1e6) for c in SPEC.supported_clocks_hz()]

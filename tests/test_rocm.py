@@ -3,14 +3,15 @@
 import pytest
 
 from repro import rocm
-from repro.hardware import KernelLaunch, SimulatedGpu, VirtualClock, mi250x_gcd
+from repro.hardware import KernelLaunch, SimulatedGpu, VirtualClock
+from repro.systems import by_name
 from repro.units import mhz
 
 
 @pytest.fixture
 def gcds():
     clk = VirtualClock()
-    devices = [SimulatedGpu(mi250x_gcd(), clk, index=i) for i in range(4)]
+    devices = [SimulatedGpu(by_name("LUMI-G").gpu_spec, clk, index=i) for i in range(4)]
     rocm.attach_devices(devices)
     rocm.rsmi_init()
     return devices

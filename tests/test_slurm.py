@@ -12,7 +12,7 @@ from repro.slurm import (
     format_elapsed,
     get_plugin,
 )
-from repro.systems import Cluster, cscs_a100, mini_hpc
+from repro.systems import Cluster, by_name
 
 
 def _app_kernel(steps=2):
@@ -35,7 +35,7 @@ def controller():
 
 
 def test_job_lifecycle_and_energy(controller):
-    cluster = Cluster(cscs_a100(), 4)
+    cluster = Cluster(by_name("CSCS-A100"), 4)
     try:
         spec = JobSpec(name="turb", n_nodes=1, n_tasks=4)
         job = controller.submit(spec, cluster, _app_kernel())
@@ -49,7 +49,7 @@ def test_job_lifecycle_and_energy(controller):
 
 
 def test_accounting_window_excludes_presubmit_energy(controller):
-    cluster = Cluster(cscs_a100(), 4)
+    cluster = Cluster(by_name("CSCS-A100"), 4)
     try:
         # Burn energy before the job exists.
         cluster.clocks[0].advance(100.0)
@@ -66,7 +66,7 @@ def test_accounting_window_excludes_presubmit_energy(controller):
 
 
 def test_sacct_fields(controller):
-    cluster = Cluster(cscs_a100(), 4)
+    cluster = Cluster(by_name("CSCS-A100"), 4)
     try:
         job = controller.submit(
             JobSpec(name="evrard", n_nodes=1, n_tasks=4), cluster, _app_kernel()
@@ -97,7 +97,7 @@ def test_energy_accounting_disabled_by_default():
 
 
 def test_gpu_freq_flag_applies_on_permissive_system(controller):
-    cluster = Cluster(mini_hpc(), 2)
+    cluster = Cluster(by_name("miniHPC"), 2)
     try:
         spec = JobSpec(name="turb", n_nodes=1, n_tasks=2, gpu_freq_mhz=900.0)
         controller.submit(spec, cluster, _app_kernel(steps=1))
@@ -109,7 +109,7 @@ def test_gpu_freq_flag_applies_on_permissive_system(controller):
 
 
 def test_gpu_freq_flag_rejected_on_restricted_system(controller):
-    cluster = Cluster(cscs_a100(), 4)
+    cluster = Cluster(by_name("CSCS-A100"), 4)
     try:
         spec = JobSpec(name="turb", n_nodes=1, n_tasks=4, gpu_freq_mhz=900.0)
         with pytest.raises(PermissionError):
@@ -119,7 +119,7 @@ def test_gpu_freq_flag_rejected_on_restricted_system(controller):
 
 
 def test_failed_app_marks_job_failed(controller):
-    cluster = Cluster(cscs_a100(), 4)
+    cluster = Cluster(by_name("CSCS-A100"), 4)
     try:
         def bad_app(cluster, job):
             raise RuntimeError("boom")
@@ -135,7 +135,7 @@ def test_failed_app_marks_job_failed(controller):
 
 
 def test_node_count_mismatch_rejected(controller):
-    cluster = Cluster(cscs_a100(), 4)
+    cluster = Cluster(by_name("CSCS-A100"), 4)
     try:
         with pytest.raises(ValueError):
             controller.submit(
@@ -153,7 +153,7 @@ def test_jobspec_validation():
 
 
 def test_rapl_plugin_misses_gpu_energy():
-    cluster = Cluster(cscs_a100(), 4)
+    cluster = Cluster(by_name("CSCS-A100"), 4)
     try:
         rapl = get_plugin("rapl")
         ipmi = get_plugin("ipmi")

@@ -10,7 +10,7 @@ from repro.slurm import (
     SlurmController,
     resolve_gpu_freq_keyword,
 )
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 from repro.units import to_mhz
 
 CLOCKS = [210.0 + 15.0 * k for k in range(81)]  # A100 bins, ascending
@@ -43,7 +43,7 @@ def test_jobspec_rejects_unknown_keyword():
 
 
 def test_submit_with_keyword_applies_clock():
-    cluster = Cluster(mini_hpc(), 2)
+    cluster = Cluster(by_name("miniHPC"), 2)
     controller = SlurmController()
 
     def app(cl, job):

@@ -6,7 +6,7 @@ import pytest
 from repro.sph import NumericProblem, Simulation
 from repro.sph.init import TurbulenceConfig, make_turbulence, make_turbulence_eos
 from repro.sph.io import CheckpointMeta, load_checkpoint, save_checkpoint
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 
 
 def test_roundtrip_is_bit_exact(tmp_path, small_turbulence):
@@ -55,7 +55,7 @@ def test_restart_continues_identically(tmp_path):
     cfg = TurbulenceConfig(nside=8, seed=17)
 
     def fresh_sim(particles):
-        cluster = Cluster(mini_hpc(), 1)
+        cluster = Cluster(by_name("miniHPC"), 1)
         problem = NumericProblem(
             particles=particles, n_ranks=1,
             eos=make_turbulence_eos(cfg), box_size=cfg.box_size,

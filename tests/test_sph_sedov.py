@@ -11,7 +11,7 @@ from repro.sph.init import (
     make_sedov_eos,
     shock_radius,
 )
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 
 
 def test_sedov_ic_energy_budget():
@@ -56,7 +56,7 @@ def test_sedov_uses_hydro_propagator():
 def test_sedov_blast_expands_and_conserves_energy():
     cfg = SedovConfig(nside=12, seed=5)
     p = make_sedov(cfg)
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     try:
         problem = NumericProblem(
             particles=p,
@@ -96,7 +96,7 @@ def test_sedov_blast_expands_and_conserves_energy():
 def test_sedov_momentum_stays_zero():
     cfg = SedovConfig(nside=10, seed=6)
     p = make_sedov(cfg)
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     try:
         problem = NumericProblem(
             particles=p, n_ranks=1, eos=make_sedov_eos(cfg),

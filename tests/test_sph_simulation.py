@@ -14,7 +14,7 @@ from repro.sph.init import (
     make_turbulence,
     make_turbulence_eos,
 )
-from repro.systems import Cluster, lumi_g, mini_hpc
+from repro.systems import Cluster, by_name
 
 
 def test_model_mode_runs_and_reports(mini_cluster):
@@ -106,7 +106,7 @@ def test_multi_rank_run_synchronizes(lumi_cluster):
 def test_numeric_mode_turbulence_runs_physics():
     cfg = TurbulenceConfig(nside=10, seed=21)
     parts = make_turbulence(cfg)
-    cluster = Cluster(mini_hpc(), 2)
+    cluster = Cluster(by_name("miniHPC"), 2)
     try:
         problem = NumericProblem(
             particles=parts,
@@ -136,7 +136,7 @@ def test_numeric_mode_turbulence_runs_physics():
 def test_numeric_mode_evrard_collapses():
     cfg = EvrardConfig(n_particles=1500, seed=22)
     parts = make_evrard(cfg)
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     try:
         problem = NumericProblem(
             particles=parts,

@@ -6,7 +6,7 @@ import pytest
 from repro.sph import NumericProblem, Simulation
 from repro.sph.init import SodConfig, make_sod, make_sod_eos
 from repro.sph.riemann import GasState, sample_solution, solve_star_region
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 
 # ---------------------------------------------------------------------------
 # Exact solver unit checks
@@ -65,7 +65,7 @@ def test_strong_shock_case_converges():
 def sod_run():
     cfg = SodConfig(nside=16)
     particles = make_sod(cfg)
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     try:
         problem = NumericProblem(
             particles=particles,

@@ -3,13 +3,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.hardware import GpuPerfModel, a100_pcie_40gb
+from repro.hardware import GpuPerfModel
 from repro.sph import (
     FULL_UTILIZATION_PARTICLES,
     WorkloadModel,
     function_names,
     max_particles_per_gpu,
 )
+from repro.systems import by_name
 from repro.units import GIB, mhz
 
 
@@ -25,8 +26,8 @@ def test_function_order_matches_paper_loop():
 
 def test_momentum_energy_dominates_step_time():
     model = WorkloadModel(91e6)
-    perf = GpuPerfModel(a100_pcie_40gb())
-    f = a100_pcie_40gb().max_clock_hz
+    perf = GpuPerfModel(by_name("miniHPC").gpu_spec)
+    f = by_name("miniHPC").gpu_spec.max_clock_hz
     times = {
         fn: sum(perf.duration(l, f) for l in model.launches_for(fn))
         for fn in model.order
@@ -39,8 +40,8 @@ def test_momentum_energy_dominates_step_time():
 
 def test_momentum_energy_is_compute_bound_lights_are_not():
     model = WorkloadModel(91e6)
-    perf = GpuPerfModel(a100_pcie_40gb())
-    f = a100_pcie_40gb().max_clock_hz
+    perf = GpuPerfModel(by_name("miniHPC").gpu_spec)
+    f = by_name("miniHPC").gpu_spec.max_clock_hz
 
     def kappa(fn):
         launch = model.launches_for(fn)[0]
@@ -89,8 +90,8 @@ def test_underutilized_problem_becomes_latency_bound():
     # And power intensity drops.
     assert l_small.power_intensity < l_full.power_intensity
     # Net effect: frequency sensitivity (kappa) falls.
-    perf = GpuPerfModel(a100_pcie_40gb())
-    f_max = a100_pcie_40gb().max_clock_hz
+    perf = GpuPerfModel(by_name("miniHPC").gpu_spec)
+    f_max = by_name("miniHPC").gpu_spec.max_clock_hz
     assert perf.compute_fraction(l_small, f_max) < perf.compute_fraction(
         l_full, f_max
     )

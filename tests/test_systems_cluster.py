@@ -1,32 +1,25 @@
-"""System presets and cluster assembly/topology."""
+"""Shipped systems and cluster assembly/topology."""
 
 import pytest
 
 from repro import nvml, rocm
-from repro.systems import (
-    Cluster,
-    all_system_names,
-    by_name,
-    cscs_a100,
-    lumi_g,
-    mini_hpc,
-)
+from repro.systems import Cluster, all_system_names, by_name
 from repro.units import to_mhz
 
 
 def test_presets_match_table1():
-    lumi = lumi_g()
+    lumi = by_name("LUMI-G")
     assert lumi.ranks_per_node == 8
-    assert lumi.gpu_spec().vendor == "amd"
+    assert lumi.gpu_spec.vendor == "amd"
     assert lumi.has_pm_counters
     assert not lumi.allow_user_freq_control
 
-    cscs = cscs_a100()
+    cscs = by_name("CSCS-A100")
     assert cscs.ranks_per_node == 4
-    assert to_mhz(cscs.gpu_spec().max_clock_hz) == 1410.0
+    assert to_mhz(cscs.gpu_spec.max_clock_hz) == 1410.0
     assert cscs.has_pm_counters
 
-    mini = mini_hpc()
+    mini = by_name("miniHPC")
     assert mini.ranks_per_node == 2
     assert mini.allow_user_freq_control
     assert not mini.has_pm_counters
@@ -34,7 +27,7 @@ def test_presets_match_table1():
 
 def test_by_name_lookup():
     assert by_name("LUMI-G").name == "LUMI-G"
-    # The three Table-I systems plus the future-work Intel preset.
+    # The three Table-I systems plus the future-work Intel system.
     assert {"CSCS-A100", "LUMI-G", "miniHPC"} <= set(all_system_names())
     assert "Aurora-PVC" in all_system_names()
     with pytest.raises(ValueError):
@@ -42,7 +35,7 @@ def test_by_name_lookup():
 
 
 def test_cluster_builds_whole_nodes():
-    cluster = Cluster(cscs_a100(), 8)
+    cluster = Cluster(by_name("CSCS-A100"), 8)
     try:
         assert cluster.n_nodes == 2
         assert len(cluster.gpus) == 8
@@ -55,7 +48,7 @@ def test_cluster_builds_whole_nodes():
 
 
 def test_cluster_partial_node_allowed_when_smaller():
-    cluster = Cluster(cscs_a100(), 2)
+    cluster = Cluster(by_name("CSCS-A100"), 2)
     try:
         assert cluster.n_nodes == 1
         assert len(cluster.gpus) == 2
@@ -64,7 +57,7 @@ def test_cluster_partial_node_allowed_when_smaller():
 
 
 def test_lumi_card_mapping():
-    cluster = Cluster(lumi_g(), 8)
+    cluster = Cluster(by_name("LUMI-G"), 8)
     try:
         # 8 GCDs on one node = 4 cards; ranks 0,1 share card 0.
         assert cluster.card_of_rank(0) == 0
@@ -76,7 +69,7 @@ def test_lumi_card_mapping():
 
 
 def test_nvidia_cluster_attaches_nvml():
-    cluster = Cluster(cscs_a100(), 4)
+    cluster = Cluster(by_name("CSCS-A100"), 4)
     try:
         assert nvml.nvmlDeviceGetCount() == 4
         # Restricted centre: users cannot set clocks through NVML.
@@ -88,7 +81,7 @@ def test_nvidia_cluster_attaches_nvml():
 
 
 def test_amd_cluster_attaches_rocm():
-    cluster = Cluster(lumi_g(), 8)
+    cluster = Cluster(by_name("LUMI-G"), 8)
     try:
         assert rocm.rsmi_num_monitor_devices() == 8
     finally:
@@ -96,7 +89,7 @@ def test_amd_cluster_attaches_rocm():
 
 
 def test_apply_and_reset_gpu_frequency():
-    cluster = Cluster(mini_hpc(), 2)
+    cluster = Cluster(by_name("miniHPC"), 2)
     try:
         cluster.apply_gpu_frequency_mhz(1005.0)
         assert all(
@@ -109,7 +102,7 @@ def test_apply_and_reset_gpu_frequency():
 
 
 def test_energy_helpers():
-    cluster = Cluster(mini_hpc(), 2)
+    cluster = Cluster(by_name("miniHPC"), 2)
     try:
         for clock in cluster.clocks:
             clock.advance(1.0)
@@ -126,4 +119,4 @@ def test_energy_helpers():
 
 def test_invalid_rank_count_rejected():
     with pytest.raises(ValueError):
-        Cluster(cscs_a100(), 0)
+        Cluster(by_name("CSCS-A100"), 0)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.hardware import VirtualClock
 from repro.slurm import JobSpec, SlurmController
-from repro.systems import Cluster, cscs_a100, mini_hpc
+from repro.systems import Cluster, by_name
 from repro.telemetry import (
     TRACK_CLOCKS,
     TRACK_COUNTERS,
@@ -105,7 +105,7 @@ def test_counter_samples_update_gauges():
 
 
 def test_for_cluster_binds_rank_clocks():
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     collector = TraceCollector.for_cluster(cluster)
     assert collector.bound
     assert collector.now(0) == cluster.clocks[0].now
@@ -119,7 +119,7 @@ def test_span_event_validates_ordering():
 def test_slurm_job_phases_appear_on_job_track():
     from repro.sph import run_instrumented
 
-    cluster = Cluster(cscs_a100(), 4)
+    cluster = Cluster(by_name("CSCS-A100"), 4)
     collector = TraceCollector.for_cluster(cluster)
     controller = SlurmController(telemetry=collector)
     controller.accounting.enable_energy_accounting()
@@ -162,13 +162,13 @@ def test_ring_buffer_drop_accounting_under_sampler_pressure():
     """Sustained DeviceSampler counter emission overflows the ring
     deterministically: drops are counted exactly and only the oldest
     events leave the buffer."""
-    from repro.hardware import SimulatedGpu, a100_pcie_40gb
+    from repro.hardware import SimulatedGpu
     from repro.monitor import DeviceSampler
 
     capacity = 50
     collector = TraceCollector(max_events=capacity)
     clock = VirtualClock()
-    gpu = SimulatedGpu(a100_pcie_40gb(), clock)
+    gpu = SimulatedGpu(by_name("miniHPC").gpu_spec, clock)
     sampler = DeviceSampler(
         [gpu], [clock], period_s=0.01, telemetry=collector
     )

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import ManDynPolicy
 from repro.sph import Simulation, run_instrumented
-from repro.systems import Cluster, mini_hpc
+from repro.systems import Cluster, by_name
 from repro.telemetry import (
     RECONCILE_TOL_S,
     TRACK_CLOCKS,
@@ -37,7 +37,7 @@ N_RANKS = 4
 def traced_run():
     # miniHPC allows user application-clock control, so ManDyn performs
     # real (simulated) NVML clock-set calls; 4 ranks span 2 nodes.
-    cluster = Cluster(mini_hpc(), N_RANKS)
+    cluster = Cluster(by_name("miniHPC"), N_RANKS)
     collector = TraceCollector.for_cluster(cluster)
     policy = ManDynPolicy(
         {"MomentumEnergy": 1410.0, "XMass": 1005.0}, default_mhz=1110.0
@@ -165,7 +165,7 @@ def test_render_summary_mentions_everything(traced_run):
 
 
 def test_telemetry_is_opt_in_and_zero_cost():
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     sim = Simulation(cluster, "SedovBlast", 1e5)
     baseline = sim.run(2)
     # No collector => no extra hooks beyond controller + profiler.
@@ -173,7 +173,7 @@ def test_telemetry_is_opt_in_and_zero_cost():
     assert sim.telemetry is None
     cluster.detach_management_library()
 
-    cluster2 = Cluster(mini_hpc(), 1)
+    cluster2 = Cluster(by_name("miniHPC"), 1)
     collector = TraceCollector.for_cluster(cluster2)
     sim2 = Simulation(cluster2, "SedovBlast", 1e5, telemetry=collector)
     traced = sim2.run(2)
@@ -188,7 +188,7 @@ def test_telemetry_is_opt_in_and_zero_cost():
 
 
 def test_run_instrumented_accepts_telemetry():
-    cluster = Cluster(mini_hpc(), 1)
+    cluster = Cluster(by_name("miniHPC"), 1)
     collector = TraceCollector()  # unbound: Simulation late-binds it
     result = run_instrumented(
         cluster, "SedovBlast", 1e5, 2, telemetry=collector

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.hardware import KernelLaunch, SimulatedGpu, VirtualClock, a100_pcie_40gb
+from repro.hardware import KernelLaunch, SimulatedGpu, VirtualClock
+from repro.systems import by_name
 from repro.tuner import (
     FREQUENCY_PARAM,
     enumerate_space,
@@ -17,7 +18,7 @@ from repro.tuner import (
 
 @pytest.fixture
 def gpu():
-    return SimulatedGpu(a100_pcie_40gb(), VirtualClock())
+    return SimulatedGpu(by_name("miniHPC").gpu_spec, VirtualClock())
 
 
 FREQS = [1410, 1305, 1200, 1110, 1005]

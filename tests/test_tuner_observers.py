@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.hardware import KernelLaunch, SimulatedGpu, VirtualClock, a100_sxm4_80gb
+from repro.hardware import KernelLaunch, SimulatedGpu, VirtualClock
+from repro.systems import by_name
 from repro.tuner import (
     EnergyObserver,
     PowerObserver,
@@ -13,7 +14,7 @@ from repro.tuner import (
 
 @pytest.fixture
 def gpu():
-    return SimulatedGpu(a100_sxm4_80gb(), VirtualClock())
+    return SimulatedGpu(by_name("CSCS-A100").gpu_spec, VirtualClock())
 
 
 KERNEL = KernelLaunch("K", flops=1e12, bytes_moved=1e11, power_intensity=1.0)
