@@ -28,6 +28,9 @@ Modes::
     python benchmarks/bench_recovery.py --check   # gates, exit 1 on fail
     python benchmarks/bench_recovery.py --smoke --check   # CI-sized
 
+A ``--smoke`` run writes ``BENCH_recovery.smoke.json`` (git-ignored)
+instead, so it never replaces the committed full-size artifact.
+
 The file matches the ``bench_*.py`` pytest pattern but defines no test
 functions; it tracks recovery economics, not paper figures.
 """
@@ -53,6 +56,7 @@ from repro.sph.init import SedovConfig, make_sedov, make_sedov_eos  # noqa: E402
 from repro.systems import Cluster, by_name  # noqa: E402
 
 ARTIFACT = REPO_ROOT / "BENCH_recovery.json"
+SMOKE_ARTIFACT = REPO_ROOT / "BENCH_recovery.smoke.json"
 
 #: Re-executed work budget after a mid-run kill (fraction of total).
 MAX_REEXECUTED_FRAC = 0.15
@@ -200,7 +204,8 @@ def main(argv=None) -> int:
         steps, every, nside = 96, 22, 10
 
     doc = run_benchmark(steps=steps, every=every, nside=nside, seed=7)
-    ARTIFACT.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    artifact = SMOKE_ARTIFACT if args.smoke else ARTIFACT
+    artifact.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     print(f"uninterrupted wall     : {doc['wall_uninterrupted_s']:.3f} s")
     print(f"checkpointed wall      : {doc['wall_checkpointed_s']:.3f} s")
@@ -214,7 +219,7 @@ def main(argv=None) -> int:
           f"({doc['reexecuted_frac']:.1%}, gate < "
           f"{MAX_REEXECUTED_FRAC:.0%})")
     print(f"resumed result bit-exact vs reference: {doc['bit_exact']}")
-    print(f"artifact: {ARTIFACT}")
+    print(f"artifact: {artifact}")
     if args.check and not doc["pass"]:
         print("RECOVERY GATE: FAIL", file=sys.stderr)
         return 1

@@ -19,6 +19,9 @@ Writes the ``BENCH_service.json`` artifact at the repo root. Modes::
     python benchmarks/bench_service_load.py --smoke    # 50 clients + gate
     python benchmarks/bench_service_load.py --check    # 500 clients + gate
 
+A ``--smoke`` run writes ``BENCH_service.smoke.json`` (git-ignored)
+instead, so it never replaces the committed full-size artifact.
+
 The gate fails when any request errors, when the cache-hit rate is
 zero, when a resubmission recomputed anything, or (non-smoke) when
 fewer than ``FULL_CLIENTS`` clients were sustained concurrently.
@@ -50,6 +53,7 @@ from repro.service import (  # noqa: E402
 )
 
 ARTIFACT = REPO_ROOT / "BENCH_service.json"
+SMOKE_ARTIFACT = REPO_ROOT / "BENCH_service.smoke.json"
 
 #: Concurrent keep-alive clients in the full run (ISSUE floor: 500).
 FULL_CLIENTS = 500
@@ -306,7 +310,8 @@ def main() -> int:
         "mode": "smoke" if args.smoke else "full",
         **results,
     }
-    ARTIFACT.write_text(
+    artifact = SMOKE_ARTIFACT if args.smoke else ARTIFACT
+    artifact.write_text(
         json.dumps(payload, indent=1, sort_keys=True) + "\n",
         encoding="utf-8",
     )
@@ -318,7 +323,7 @@ def main() -> int:
         f"p50 {load['p50_ms']:.1f}ms, p99 {load['p99_ms']:.1f}ms); "
         f"cache hit rate {caching['cache_hit_rate']:.0%}, "
         f"{caching['resubmit_recomputed']:.0f} units recomputed on "
-        f"{caching['resubmits']} resubmits (artifact: {ARTIFACT.name})"
+        f"{caching['resubmits']} resubmits (artifact: {artifact.name})"
     )
 
     if args.smoke or args.check:

@@ -31,8 +31,17 @@ ufunc gives the same bits however its input is sliced; a gather-side
 sum over a particle-range block (:attr:`StepGeometry.blocks`) fills
 ``out[a:b]`` with each bin summing its own pairs in the same order;
 and every reduction whose bins cross blocks (MomentumEnergy's
-scatters, the symmetric-closure assembly) still runs once over the
+scatters, the undirected-table assembly) still runs once over the
 whole array in the original element order.
+
+The pair table is the only full-size copy of the pairs: the symmetric
+closure is never materialized. MomentumEnergy's half-sized
+:meth:`StepGeometry.undirected` table is assembled straight from the
+pairs and the missing-mirror flags, the signal-velocity maximum reads
+the pairs row by row plus the missing mirrors
+(:meth:`StepGeometry.closure_max`), and the per-step caches are
+dropped after the step's last pair kernel
+(:meth:`StepGeometry.release_caches`).
 """
 
 from __future__ import annotations
@@ -188,18 +197,14 @@ class StepGeometry:
         nlist: NeighborList,
         pairs: PairTable,
         box_size: Optional[float] = None,
-        sym_missing: Optional[np.ndarray] = None,
+        missing: Optional[np.ndarray] = None,
     ) -> None:
         self.particles = particles
         self.nlist = nlist
         self.pairs = pairs
         self.box_size = box_size
-        self._sym_missing = sym_missing
-        self._sym: Optional[PairTable] = None
+        self._missing = missing
         self._und: Optional[PairTable] = None
-        self._sym_order: Optional[np.ndarray] = None
-        self._sym_has: Optional[np.ndarray] = None
-        self._sym_starts: Optional[np.ndarray] = None
         self._w: Optional[np.ndarray] = None
         self._w_kernel: Optional[SmoothingKernel] = None
         self._blocks: Optional[List[Tuple[int, int, int, int]]] = None
@@ -237,7 +242,7 @@ class StepGeometry:
         # leaves a gap behind each block, closed below.
         dx, dy, dz, r = (np.empty(m) for _ in range(4))
         j_idx = np.empty(m, dtype=np.int64) if masked else neighbors
-        sym_missing = np.empty(m, dtype=bool) if masked else None
+        missing = np.empty(m, dtype=bool) if masked else None
         counts = np.empty(n, dtype=np.int64) if masked else None
 
         def block(a: int, b: int, s: int, e: int) -> None:
@@ -276,7 +281,7 @@ class StepGeometry:
                 # enter, and the skin dwarfs the round-off between
                 # cKDTree's distance and this one. So no pair-set scan
                 # is needed.
-                sym_missing[s:e] = r2 > (support_radius * h[j]) ** 2
+                missing[s:e] = r2 > (support_radius * h[j]) ** 2
                 counts[a:b] = np.bincount(i - a, minlength=b - a)
             dx[s:e], dy[s:e], dz[s:e] = bx, by, bz
             np.maximum(np.sqrt(r2, out=r[s:e]), 1e-300, out=r[s:e])
@@ -292,20 +297,17 @@ class StepGeometry:
             for a, b, s, _ in blocks:
                 o, e = int(offsets[a]), int(offsets[b])
                 if o != s:
-                    for arr in (j_idx, dx, dy, dz, r, sym_missing):
+                    for arr in (j_idx, dx, dy, dz, r, missing):
                         arr[o:e] = arr[s:s + e - o]
             m = int(offsets[-1])
-            j_idx, dx, dy, dz, r, sym_missing = (
-                arr[:m] for arr in (j_idx, dx, dy, dz, r, sym_missing)
+            j_idx, dx, dy, dz, r, missing = (
+                arr[:m] for arr in (j_idx, dx, dy, dz, r, missing)
             )
             nlist = NeighborList(neighbors=j_idx, offsets=offsets)
         i_idx = np.repeat(np.arange(n, dtype=np.int64), nlist.counts())
 
         pairs = PairTable(i_idx=i_idx, j_idx=j_idx, dx=dx, dy=dy, dz=dz, r=r)
-        return cls(
-            particles, nlist, pairs, box_size=box_size,
-            sym_missing=sym_missing,
-        )
+        return cls(particles, nlist, pairs, box_size=box_size, missing=missing)
 
     # -- convenience views --------------------------------------------------
 
@@ -364,83 +366,78 @@ class StepGeometry:
             self._w_kernel = kernel
         return self._w
 
+    def release_caches(self) -> None:
+        """Drop the cached :meth:`undirected` table and
+        :meth:`kernel_value` once the step's last pair kernel has run.
+
+        The masked pair table stays: the next :meth:`build` replaces
+        it. Both caches are rebuilt on demand if used again.
+        """
+        self._und = None
+        self._w = None
+        self._w_kernel = None
+
     # -- symmetric closure --------------------------------------------------
 
-    def symmetric(self) -> PairTable:
-        """Pair table closed under reversal (cached).
+    @property
+    def missing_mirrors(self) -> np.ndarray:
+        """Per pair of :attr:`pairs`: ``True`` where its mirror
+        ``(j, i)`` is absent (cached).
 
         With adaptive smoothing lengths the gather lists are
         asymmetric; momentum-conserving sums need every pair in both
-        directions. On a masked Verlet-skin list the missing mirrors
-        are read off the distances at build time; otherwise a lexsort +
+        directions. On a masked Verlet-skin list the flags are read off
+        the distances at build time; otherwise a lexsort +
         binary-search mirror test (see
-        :func:`repro.sph.neighbors.mirror_missing`) finds them. Either
-        way the closure is built at most once per neighbor-geometry
-        build — MomentumEnergy and the Timestep signal-velocity sweep
-        share the result.
+        :func:`repro.sph.neighbors.mirror_missing`) finds them.
         """
-        if self._sym is None:
-            p = self.pairs
-            if self._sym_missing is not None:
-                missing = self._sym_missing
-            else:
-                missing = mirror_missing(p.i_idx, p.j_idx)
-            if np.any(missing):
-                self._sym = PairTable(
-                    i_idx=np.concatenate([p.i_idx, p.j_idx[missing]]),
-                    j_idx=np.concatenate([p.j_idx, p.i_idx[missing]]),
-                    dx=np.concatenate([p.dx, -p.dx[missing]]),
-                    dy=np.concatenate([p.dy, -p.dy[missing]]),
-                    dz=np.concatenate([p.dz, -p.dz[missing]]),
-                    r=np.concatenate([p.r, p.r[missing]]),
-                )
-            else:
-                self._sym = p
-        return self._sym
+        if self._missing is None:
+            self._missing = mirror_missing(self.i_idx, self.j_idx)
+        return self._missing
 
     def undirected(self) -> PairTable:
-        """Each interacting pair exactly once, with ``i < j`` (cached).
+        """Each interacting pair of the symmetric closure exactly once,
+        with ``i < j`` (cached; see :meth:`release_caches`).
 
-        The symmetric closure contains every undirected pair in both
-        directions, so masking to ``i < j`` enumerates each interaction
-        once. Pair-symmetric kernels (MomentumEnergy's force
-        coefficient is invariant under i <-> j) can evaluate on this
+        The table holds the pairs of :attr:`pairs` with ``i < j`` in
+        pair order, then the reversed missing mirrors of the pairs with
+        ``i > j``. Pair-symmetric kernels (MomentumEnergy's force
+        coefficient is invariant under i <-> j) evaluate on this
         half-sized table and scatter to both endpoints, halving the
-        gather and arithmetic volume of the heaviest kernel.
+        gather and arithmetic volume of the heaviest kernel. Self-pairs
+        are dropped: they have no ``i < j`` direction.
         """
         if self._und is None:
-            sym = self.symmetric()
-            keep = sym.i_idx < sym.j_idx
+            p = self.pairs
+            fwd = p.i_idx < p.j_idx
+            back = self.missing_mirrors & (p.j_idx < p.i_idx)
             self._und = PairTable(
-                i_idx=sym.i_idx[keep],
-                j_idx=sym.j_idx[keep],
-                dx=sym.dx[keep],
-                dy=sym.dy[keep],
-                dz=sym.dz[keep],
-                r=sym.r[keep],
+                i_idx=np.concatenate([p.i_idx[fwd], p.j_idx[back]]),
+                j_idx=np.concatenate([p.j_idx[fwd], p.i_idx[back]]),
+                dx=np.concatenate([p.dx[fwd], -p.dx[back]]),
+                dy=np.concatenate([p.dy[fwd], -p.dy[back]]),
+                dz=np.concatenate([p.dz[fwd], -p.dz[back]]),
+                r=np.concatenate([p.r[fwd], p.r[back]]),
             )
         return self._und
 
-    def sym_scatter_max(
-        self, values: np.ndarray, init: np.ndarray
-    ) -> np.ndarray:
+    def closure_max(self, values: np.ndarray, init: np.ndarray) -> np.ndarray:
         """Per-particle maximum of per-pair ``values`` over the
-        symmetric closure, floored at ``init`` (segment-sorted
-        ``np.maximum.reduceat`` — replaces ``np.maximum.at``)."""
-        if self._sym_order is None:
-            sym = self.symmetric()
-            order = np.argsort(sym.i_idx, kind="stable")
-            sorted_i = sym.i_idx[order]
-            grid = np.arange(self.n, dtype=np.int64)
-            starts = np.searchsorted(sorted_i, grid, side="left")
-            ends = np.searchsorted(sorted_i, grid, side="right")
-            self._sym_order = order
-            self._sym_has = ends > starts
-            self._sym_starts = starts[self._sym_has]
+        symmetric closure of :attr:`pairs`, floored at ``init``.
+
+        ``values`` must be the same bits on a pair and on its mirror.
+        Each particle then takes the maximum over its CSR row (one
+        ``np.maximum.reduceat`` over the row offsets, empty rows
+        keeping ``init``) and, for each pair whose mirror is missing,
+        its value at ``j``. ``max`` does not round, so the result is
+        the same as over a materialized closure in any order.
+        """
         out = np.array(init, dtype=np.float64, copy=True)
-        if self._sym_starts.size:
-            seg_max = np.maximum.reduceat(
-                values[self._sym_order], self._sym_starts
-            )
-            out[self._sym_has] = np.maximum(out[self._sym_has], seg_max)
+        offsets = self.nlist.offsets
+        has = offsets[1:] > offsets[:-1]
+        if np.any(has):
+            row_max = np.maximum.reduceat(values, offsets[:-1][has])
+            out[has] = np.maximum(out[has], row_max)
+        missing = self.missing_mirrors
+        np.maximum.at(out, self.j_idx[missing], values[missing])
         return out

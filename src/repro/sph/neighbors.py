@@ -226,9 +226,9 @@ def symmetric_pairs(nlist: NeighborList) -> "tuple[np.ndarray, np.ndarray]":
     such pair in *both* directions so action and reaction are both
     accumulated; this helper appends the missing mirrored entries.
 
-    Callers inside the step loop should prefer the cached closure on
-    :class:`repro.sph.geometry.StepGeometry`, which runs this scan at
-    most once per neighbor-geometry build.
+    The step loop never builds this closure: its kernels read the
+    pairs plus :attr:`repro.sph.geometry.StepGeometry.missing_mirrors`,
+    scanned at most once per neighbor-geometry build.
     """
     n = nlist.n
     i_idx = np.repeat(np.arange(n, dtype=np.int64), nlist.counts())

@@ -397,6 +397,12 @@ class NumericProblem:
             box_size=self.box_size,
             geometry=self.geometry,
         )
+        # The signal-velocity sweep is the step's last pair kernel, so
+        # the geometry's caches go here. The geometry itself stays
+        # until the next build replaces it: dropping it before the
+        # build lets glibc trim the freed heap top and fault it back
+        # in (docs/performance.md §6).
+        self.geometry.release_caches()
         # All ranks see (nearly) the same particles here because the
         # numerics are global; per-rank jitter is not modelled.
         return [dt_global] * self.n_ranks

@@ -72,14 +72,13 @@ def compute_momentum_energy(
     particles.ensure_derived()
 
     # Momentum conservation requires action *and* reaction: with
-    # adaptive h the gather lists are asymmetric, so close the pair set
-    # under reversal before summing forces. The closure (and all pair
-    # displacements) comes cached from the shared step geometry. The
-    # force coefficient is invariant under i <-> j, so each undirected
-    # pair is evaluated once and scattered to both endpoints — half the
-    # gathers and kernel-gradient work of a directed sweep. Self-pairs
-    # (i == j) contribute nothing (dx = 0, v.r = 0) and are dropped by
-    # the i < j mask.
+    # adaptive h the gather lists are asymmetric, so the forces sum
+    # over the pair set closed under reversal. The force coefficient is
+    # invariant under i <-> j, so each undirected pair of the closure
+    # (cached on the shared step geometry) is evaluated once and
+    # scattered to both endpoints — half the gathers and
+    # kernel-gradient work of a directed sweep. Self-pairs (i == j)
+    # contribute nothing (dx = 0, v.r = 0) and are not in the table.
     geom = geometry if geometry is not None else StepGeometry.build(
         particles, nlist, box_size
     )
@@ -89,10 +88,9 @@ def compute_momentum_energy(
     vx, vy, vz = particles.vx, particles.vy, particles.vz
     p_over = particles.p / (particles.gradh * particles.rho**2)
     balsara = av.balsara_factor(particles)
-    # Per-pair scatter weights (i side, j side) for ax, ay, az, du.
-    fx_i, fx_j, fy_i, fy_j, fz_i, fz_j, du_i, du_j = (
-        np.empty(und.m) for _ in range(8)
-    )
+    # Per-pair scatter weights (i side, j side): the force factors,
+    # multiplied by dx, dy, dz at scatter time, and du.
+    t_i, t_j, du_i, du_j = (np.empty(und.m) for _ in range(4))
 
     def block(s: int, e: int) -> None:
         i, j = i_idx[s:e], j_idx[s:e]
@@ -132,12 +130,8 @@ def compute_momentum_energy(
         # has the same s with displacement -d, so i gets -m_j s d and
         # j gets +m_i s d — exact action/reaction per pair.
         s_ij = pi_term * grad_i + pj_term * grad_j + visc * grad_bar
-        fx_i[s:e] = -m_j * s_ij * dx
-        fx_j[s:e] = m_i * s_ij * dx
-        fy_i[s:e] = -m_j * s_ij * dy
-        fy_j[s:e] = m_i * s_ij * dy
-        fz_i[s:e] = -m_j * s_ij * dz
-        fz_j[s:e] = m_i * s_ij * dz
+        t_i[s:e] = -m_j * s_ij
+        t_j[s:e] = m_i * s_ij
 
         # Energy equation: pdV work + viscous heating. v.r is
         # symmetric under the swap, so each endpoint takes its own pdV
@@ -148,11 +142,17 @@ def compute_momentum_energy(
 
     run_blocks(block, pair_blocks(und.m))
     # The scatters' bins cross blocks, so each runs once over the
-    # whole table in pair order.
+    # whole table in pair order. (-m_j s) dx is the same product as
+    # -m_j * s * dx, so forming it here into one reused buffer changes
+    # no bit.
     n = particles.n
-    ax = scatter_sum(i_idx, fx_i, n) + scatter_sum(j_idx, fx_j, n)
-    ay = scatter_sum(i_idx, fy_i, n) + scatter_sum(j_idx, fy_j, n)
-    az = scatter_sum(i_idx, fz_i, n) + scatter_sum(j_idx, fz_j, n)
+    f = np.empty(und.m)
+
+    def side_sums(d: np.ndarray) -> np.ndarray:
+        side_i = scatter_sum(i_idx, np.multiply(t_i, d, out=f), n)
+        return side_i + scatter_sum(j_idx, np.multiply(t_j, d, out=f), n)
+
+    ax, ay, az = side_sums(und.dx), side_sums(und.dy), side_sums(und.dz)
     du = scatter_sum(i_idx, du_i, n) + scatter_sum(j_idx, du_j, n)
 
     if external_ax is not None:
@@ -176,26 +176,30 @@ def signal_velocity(
 
     v_sig = max_j (c_i + c_j - 3 min(0, v_ij . r_ij / |r_ij|)).
 
-    Pairs are symmetrized so a fast approaching pair limits the time
-    step of *both* endpoints even with asymmetric adaptive-h lists; the
-    closure is shared with MomentumEnergy through the step geometry.
+    The maximum runs over the pair set closed under reversal, so a fast
+    approaching pair limits the time step of *both* endpoints even with
+    asymmetric adaptive-h lists. v_sig is the same bits on a pair and
+    its mirror (v_ij and r_ij are exact IEEE negations of v_ji and
+    r_ji), so it is evaluated on the directed pairs only and the
+    missing mirrors take their pair's value
+    (:meth:`StepGeometry.closure_max`).
     """
     geom = geometry if geometry is not None else StepGeometry.build(
         particles, nlist, box_size
     )
-    sym = geom.symmetric()
+    pairs = geom.pairs
     vx, vy, vz, c = particles.vx, particles.vy, particles.vz, particles.c
-    pair_vsig = np.empty(sym.m)
+    pair_vsig = np.empty(pairs.m)
 
-    def block(s: int, e: int) -> None:
-        i, j = sym.i_idx[s:e], sym.j_idx[s:e]
+    def block(a: int, b: int, s: int, e: int) -> None:
+        i, j = pairs.i_idx[s:e], pairs.j_idx[s:e]
         dvx = vx[i] - vx[j]
         dvy = vy[i] - vy[j]
         dvz = vz[i] - vz[j]
         vdotr_unit = (
-            dvx * sym.dx[s:e] + dvy * sym.dy[s:e] + dvz * sym.dz[s:e]
-        ) / sym.r[s:e]
+            dvx * pairs.dx[s:e] + dvy * pairs.dy[s:e] + dvz * pairs.dz[s:e]
+        ) / pairs.r[s:e]
         pair_vsig[s:e] = c[i] + c[j] - 3.0 * np.minimum(vdotr_unit, 0.0)
 
-    run_blocks(block, pair_blocks(sym.m))
-    return geom.sym_scatter_max(pair_vsig, c)
+    run_blocks(block, geom.blocks)
+    return geom.closure_max(pair_vsig, c)

@@ -15,6 +15,7 @@ import json
 import multiprocessing as mp
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,7 @@ from repro.sph.physics import (
     local_timestep,
     update_quantities,
 )
+from repro.sph.physics.momentum_energy import signal_velocity
 from repro.sph.physics.positions import IntegrationConfig
 from repro.systems import Cluster, by_name
 
@@ -443,7 +445,7 @@ class TestDistanceDerivedGeometry:
     def _check(problem):
         geom, kernel = problem.geometry, problem.kernel
         assert np.array_equal(
-            geom._sym_missing, mirror_missing(geom.i_idx, geom.j_idx)
+            geom.missing_mirrors, mirror_missing(geom.i_idx, geom.j_idx)
         )
         w = geom.kernel_value(kernel)
         assert geom.kernel_value(kernel) is w
@@ -484,7 +486,7 @@ class TestDistanceDerivedGeometry:
             particles=particles, n_ranks=1, eos=eos, box_size=box, skin=0.1
         )
         problem.find_neighbors()
-        assert np.any(problem.geometry._sym_missing)
+        assert np.any(problem.geometry.missing_mirrors)
 
     def test_xmass_and_iad_share_one_kernel_evaluation(self):
         cfg = SedovConfig(nside=6, seed=5)
@@ -499,6 +501,182 @@ class TestDistanceDerivedGeometry:
         problem.equation_of_state()
         problem.iad_velocity_div_curl()
         assert kernel.value_calls == 1
+
+
+def _closure(geom):
+    """Reference closure: the pairs, then the reversed mirrors of the
+    pairs whose mirror a pair-set scan does not find, materialized."""
+    p = geom.pairs
+    miss = mirror_missing(p.i_idx, p.j_idx)
+    return geometry.PairTable(
+        i_idx=np.concatenate([p.i_idx, p.j_idx[miss]]),
+        j_idx=np.concatenate([p.j_idx, p.i_idx[miss]]),
+        dx=np.concatenate([p.dx, -p.dx[miss]]),
+        dy=np.concatenate([p.dy, -p.dy[miss]]),
+        dz=np.concatenate([p.dz, -p.dz[miss]]),
+        r=np.concatenate([p.r, p.r[miss]]),
+    )
+
+
+def _reference_undirected(geom):
+    """The ``i < j`` pairs of the materialized closure, in its order."""
+    sym = _closure(geom)
+    keep = sym.i_idx < sym.j_idx
+    return [a[keep] for a in (sym.i_idx, sym.j_idx, sym.dx, sym.dy, sym.dz, sym.r)]
+
+
+def _reference_signal_velocity(p, geom):
+    """v_sig over the materialized closure, reduced per particle by a
+    stable argsort of the closure and segment maxima."""
+    sym = _closure(geom)
+    i, j = sym.i_idx, sym.j_idx
+    vdotr_unit = (
+        (p.vx[i] - p.vx[j]) * sym.dx
+        + (p.vy[i] - p.vy[j]) * sym.dy
+        + (p.vz[i] - p.vz[j]) * sym.dz
+    ) / sym.r
+    vsig = p.c[i] + p.c[j] - 3.0 * np.minimum(vdotr_unit, 0.0)
+    order = np.argsort(i, kind="stable")
+    sorted_i = i[order]
+    grid = np.arange(p.n)
+    starts = np.searchsorted(sorted_i, grid, side="left")
+    has = np.searchsorted(sorted_i, grid, side="right") > starts
+    out = p.c.copy()
+    out[has] = np.maximum(out[has], np.maximum.reduceat(vsig[order], starts[has]))
+    return out
+
+
+def _reference_momentum_energy(p, geom, kernel, av):
+    """ax, ay, az, du from one whole-array sweep of the reference
+    undirected table, each side's weight formed as one product."""
+    i, j, dx, dy, dz, r = _reference_undirected(geom)
+    h, rho, c, m = p.h, p.rho, p.c, p.m
+    p_over = p.p / (p.gradh * p.rho**2)
+    balsara = av.balsara_factor(p)
+    grad_i = kernel.grad_r(r, h[i]) / r
+    grad_j = kernel.grad_r(r, h[j]) / r
+    grad_bar = 0.5 * (grad_i + grad_j)
+    v_dot_r = (
+        (p.vx[i] - p.vx[j]) * dx
+        + (p.vy[i] - p.vy[j]) * dy
+        + (p.vz[i] - p.vz[j]) * dz
+    )
+    h_bar = 0.5 * (h[i] + h[j])
+    rho_bar = 0.5 * (rho[i] + rho[j])
+    c_bar = 0.5 * (c[i] + c[j])
+    mu = h_bar * v_dot_r / (r * r + av.epsilon * h_bar * h_bar)
+    mu = np.where(v_dot_r < 0.0, mu, 0.0)
+    f_bar = 0.5 * (balsara[i] + balsara[j])
+    visc = f_bar * (-av.alpha * c_bar * mu + av.beta * mu * mu) / rho_bar
+    s_ij = p_over[i] * grad_i + p_over[j] * grad_j + visc * grad_bar
+    half_heat = 0.5 * visc * grad_bar * v_dot_r
+
+    def both(w_i, w_j):
+        return geometry.scatter_sum(i, w_i, p.n) + geometry.scatter_sum(j, w_j, p.n)
+
+    return (
+        both(-m[j] * s_ij * dx, m[i] * s_ij * dx),
+        both(-m[j] * s_ij * dy, m[i] * s_ij * dy),
+        both(-m[j] * s_ij * dz, m[i] * s_ij * dz),
+        both(
+            m[j] * (p_over[i] * grad_i * v_dot_r + half_heat),
+            m[i] * (p_over[j] * grad_j * v_dot_r + half_heat),
+        ),
+    )
+
+
+class TestClosureReplacement:
+    """signal_velocity and MomentumEnergy read the pair table plus the
+    missing-mirror flags, never a materialized symmetric closure; they
+    must give the same bits as the closure-based reference above."""
+
+    @staticmethod
+    def _problem(kind, skin):
+        particles, eos, box = _inputs(kind, 5)
+        # Empty first and last rows: smoothing lengths too small to
+        # reach any neighbor, while the neighbors still reach them.
+        particles.h[[0, -1]] *= 1e-3
+        problem = NumericProblem(
+            particles=particles, n_ranks=1, eos=eos, box_size=box, skin=skin
+        )
+        problem.find_neighbors()
+        problem.xmass()
+        problem.normalization_gradh()
+        problem.equation_of_state()
+        problem.iad_velocity_div_curl()
+        return problem
+
+    @pytest.mark.parametrize("skin", [0.0, 0.1])
+    @pytest.mark.parametrize(
+        "kind", ["sedov", "turbulence", "random-periodic", "random-open"]
+    )
+    def test_matches_materialized_closure(self, kind, skin):
+        problem = self._problem(kind, skin)
+        geom, p = problem.geometry, problem.particles
+        counts = geom.nlist.counts()
+        assert counts[0] == counts[-1] == 0
+        # Some missing mirrors land in the undirected table reversed.
+        assert np.any(geom.missing_mirrors & (geom.j_idx < geom.i_idx))
+        und = geom.undirected()
+        got = (und.i_idx, und.j_idx, und.dx, und.dy, und.dz, und.r)
+        for a, b in zip(got, _reference_undirected(geom)):
+            assert a.tobytes() == b.tobytes()
+        problem.momentum_energy()
+        want = _reference_momentum_energy(p, geom, problem.kernel, problem.av)
+        for name, w in zip(("ax", "ay", "az", "du"), want):
+            assert getattr(p, name).tobytes() == w.tobytes(), name
+        vsig = signal_velocity(p, problem.nlist, problem.box_size, geometry=geom)
+        assert vsig.tobytes() == _reference_signal_velocity(p, geom).tobytes()
+
+    def test_caches_dropped_after_the_timestep(self):
+        problem = self._problem("sedov", 0.1)
+        problem.momentum_energy()
+        geom = problem.geometry
+        assert geom._und is not None and geom._w is not None
+        problem.local_timesteps()
+        assert geom._und is None and geom._w is None
+        assert problem.geometry is geom
+
+
+class TestStepMemory:
+    """Memory a numeric step leaves alive and its traced peak, per
+    directed pair: an nside-12 Sedov run (skin 0.1, 4 steps) under
+    tracemalloc on one kernel thread, so no helper thread's block
+    temporaries add to the peak. Measured 65-67 B held and a 153 B
+    peak; a materialized symmetric closure held 152-156 B with a 220 B
+    peak."""
+
+    HELD_BYTES_PER_PAIR = 100
+    PEAK_BYTES_PER_PAIR = 180
+
+    def test_held_and_peak_bytes_per_pair(self, monkeypatch):
+        monkeypatch.setattr(geometry, "kernel_threads", lambda: 1)
+        cfg = SedovConfig(nside=12, seed=11)
+        particles = make_sedov(cfg)
+        problem = NumericProblem(
+            particles=particles, n_ranks=2, eos=make_sedov_eos(cfg),
+            box_size=cfg.box_size, skin=0.1,
+        )
+        cluster = Cluster(by_name("miniHPC"), 2)
+        sim = Simulation(cluster, "SedovBlast", particles.n / 2, numeric=problem)
+        held = []
+        tracemalloc.start()
+        try:
+            sim.run(
+                4, on_step=lambda step: held.append(
+                    tracemalloc.get_traced_memory()[0]
+                ),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            cluster.detach_management_library()
+        pairs = problem.geometry.pairs.m
+        assert len(held) == 4
+        assert max(held) <= self.HELD_BYTES_PER_PAIR * pairs, (
+            [h / pairs for h in held]
+        )
+        assert peak <= self.PEAK_BYTES_PER_PAIR * pairs, peak / pairs
 
 
 def _drift_inputs(kind):
