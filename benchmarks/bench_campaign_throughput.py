@@ -18,8 +18,10 @@ Modes::
     python benchmarks/bench_campaign_throughput.py          # writes artifact
     python benchmarks/bench_campaign_throughput.py --check  # gate: >= MIN_SPEEDUP
 
-``--check`` also writes the artifact, then exits 1 unless the 2-worker
-run is at least ``MIN_SPEEDUP`` times faster than serial.
+``--check`` writes the git-ignored ``BENCH_campaign.smoke.json``
+instead of the tracked artifact (a gate run never rewrites the
+recorded numbers), then exits 1 unless the 2-worker run is at least
+``MIN_SPEEDUP`` times faster than serial.
 
 The file matches the ``bench_*.py`` pytest pattern but defines no test
 functions; it tracks orchestration throughput, not paper figures.
@@ -40,6 +42,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.campaign import CampaignSpec, ExecutorConfig, run_campaign  # noqa: E402
 
 ARTIFACT = REPO_ROOT / "BENCH_campaign.json"
+SMOKE_ARTIFACT = REPO_ROOT / "BENCH_campaign.smoke.json"
 
 #: Pacing per unit (wall seconds); the grid has 8 units, so the serial
 #: floor is 8x this and the 2-worker floor is 4x.
@@ -113,13 +116,14 @@ def main() -> int:
         "speedup": round(speedup, 3),
         "min_speedup": MIN_SPEEDUP,
     }
-    ARTIFACT.write_text(
+    artifact = SMOKE_ARTIFACT if args.check else ARTIFACT
+    artifact.write_text(
         json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8"
     )
     print(
         f"{serial['units']} paced units: serial {serial['wall_s']:.2f}s, "
         f"2 workers {parallel['wall_s']:.2f}s -> speedup {speedup:.2f}x "
-        f"(artifact: {ARTIFACT.name})"
+        f"(artifact: {artifact.name})"
     )
     if args.check and speedup < MIN_SPEEDUP:
         print(f"error: speedup {speedup:.2f}x < required {MIN_SPEEDUP}x")

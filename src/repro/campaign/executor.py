@@ -219,7 +219,7 @@ class CampaignExecutor:
         #: The campaign's TraceContext. Explicit, or inherited from the
         #: collector (the service configures tracing on its collector);
         #: when set, every dispatched unit gets a deterministic child
-        #: context and records per-rank trace shards.
+        #: context and writes its merged trace.
         self.trace_context = (
             trace_context
             if trace_context is not None
@@ -310,7 +310,7 @@ class CampaignExecutor:
         return str(self.store.lane_beat_path(lane))
 
     def _trace_for(self, unit: RunUnit):
-        """(trace dict, shard dir) for one unit — or ``(None, None)``.
+        """(trace dict, trace dir) for one unit — or ``(None, None)``.
 
         The child context derives from the campaign context by the
         unit's content-addressed key, so a resubmitted or resumed unit
@@ -381,6 +381,11 @@ class CampaignExecutor:
     def _run_inline(
         self, pending: Sequence[RunUnit], status: CampaignRunStatus
     ) -> None:
+        """Run units one by one in this thread.
+
+        Units write no lane beat here: only pool-lane supervision
+        (:meth:`_lane_is_dead`, :meth:`_reap_lane`) reads them.
+        """
         for unit in pending:
             if self._stopping():
                 status.interrupted = True
@@ -398,7 +403,6 @@ class CampaignExecutor:
                         self.min_unit_wall_s,
                         checkpoint_path=self._checkpoint_path(unit),
                         checkpoint_every=self.checkpoint_every,
-                        beat_path=self._beat_path(0),
                         trace=trace,
                         trace_dir=trace_dir,
                     )

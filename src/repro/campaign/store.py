@@ -86,7 +86,7 @@ class RunStore:
     # -- distributed traces ----------------------------------------------------
 
     def unit_trace_dir(self, key: str) -> Path:
-        """Where a unit's per-rank trace shards (and merge) live.
+        """Where a unit's merged trace (``merged.jsonl``) lives.
 
         Created lazily, like checkpoints, so untraced campaigns leave
         the store layout untouched.
@@ -105,7 +105,7 @@ class RunStore:
         ).exists()
 
     def unit_trace_keys(self) -> Set[str]:
-        """Keys with any trace shard or merge on disk."""
+        """Keys with a unit trace dir on disk."""
         directory = self.root / TRACES_DIR
         if not directory.is_dir():
             return set()
@@ -202,13 +202,14 @@ class RunStore:
     # -- worker lane beats -----------------------------------------------------
 
     def lane_beat_path(self, lane: int) -> Path:
-        """Where worker process ``lane`` writes its per-step beat file.
+        """Where pool worker ``lane`` writes its per-step beat file.
 
         Unlike ``heartbeats.json`` (written by the executor between
         dispatches), lane beat files are written *from inside* the
         worker process after every simulation step, so the executor can
         distinguish a lane that is slowly computing from one whose
-        process is hung or gone.
+        process is hung or gone. The inline drain has no lanes to
+        supervise and writes none.
         """
         directory = self.root / LANES_DIR
         directory.mkdir(exist_ok=True)

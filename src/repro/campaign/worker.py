@@ -39,11 +39,6 @@ from ..rocm.smi import RocmSmiError
 from ..sph import run_instrumented
 from ..systems import Cluster, by_name
 from ..telemetry import TraceCollector, TraceContext
-from ..telemetry.profile import (
-    merge_shards,
-    merged_trace_path,
-    write_merged_trace,
-)
 from ..units import to_mhz
 from .spec import run_key
 
@@ -188,13 +183,12 @@ def execute_unit(
     With ``trace`` (a :class:`~repro.telemetry.TraceContext` dict — the
     context travels in the *call*, never inside ``config``, so the
     unit's content-addressed run key is unaffected) the run executes
-    under a :class:`~repro.telemetry.TraceCollector`: per-rank
-    shards land in ``trace_dir`` as the run ends and are merged into
-    one clock-aligned ``merged.jsonl`` here; the payload's ``trace``
-    field records the trace id and merged event count. A checkpointed
-    restore keeps the checkpoint's trace identity (same trace id, new
-    span lineage), so a resumed unit stays correlated to the request
-    that first launched it.
+    under a :class:`~repro.telemetry.TraceCollector` that writes one
+    clock-aligned ``merged.jsonl`` into ``trace_dir`` as the run ends;
+    the payload's ``trace`` field records the trace id and merged
+    event count. A checkpointed restore keeps the checkpoint's trace
+    identity (same trace id, new span lineage), so a resumed unit stays
+    correlated to the request that first launched it.
     """
     system = by_name(config["system"])
     cluster = Cluster(system, int(config["ranks"]))
@@ -218,7 +212,7 @@ def execute_unit(
     if trace is not None:
         trace_ctx = TraceContext.from_dict(trace)
         telemetry = TraceCollector.for_cluster(cluster)
-        telemetry.configure_tracing(trace_ctx, shard_dir=trace_dir)
+        telemetry.configure_tracing(trace_ctx, trace_dir=trace_dir)
     try:
         max_mhz = to_mhz(system.gpu_spec.max_clock_hz)
         policy = build_policy(config["policy"], max_mhz, cluster=cluster)
@@ -263,27 +257,16 @@ def execute_unit(
     if injector is not None:
         payload["faults"] = injector.summary()
     if trace_ctx is not None and trace_dir is not None:
-        # Parent-side collection: merge the per-rank shards the run
-        # just flushed into one clock-aligned trace. A failed merge
-        # loses the artifact, never the unit's result.
-        try:
-            merged_id, merged_events = merge_shards(trace_dir)
-            write_merged_trace(
-                merged_trace_path(trace_dir),
-                merged_events,
-                trace_id=merged_id,
-            )
-            payload["trace"] = {
-                "trace_id": merged_id or trace_ctx.trace_id,
-                "span_id": trace_ctx.span_id,
-                "events": len(merged_events),
-            }
-        except (OSError, ValueError):
-            payload["trace"] = {
-                "trace_id": trace_ctx.trace_id,
-                "span_id": trace_ctx.span_id,
-                "events": 0,
-            }
+        # The run wrote its merged trace as it ended. A failed write
+        # loses the artifact (0 events), never the unit's result.
+        traced = telemetry.flushed_events
+        payload["trace"] = {
+            "trace_id": (
+                telemetry.context.trace_id if traced else trace_ctx.trace_id
+            ),
+            "span_id": trace_ctx.span_id,
+            "events": traced,
+        }
     return payload
 
 
@@ -303,8 +286,9 @@ def run_unit_safe(
     :attr:`~repro.campaign.spec.CampaignSpec.min_unit_wall_s`).
     ``checkpoint_path``/``checkpoint_every`` enable crash-tolerant
     execution (see :func:`execute_unit`); ``beat_path`` names the lane
-    beat file this worker refreshes after every simulation step so the
-    executor's supervision can tell slow from dead. ``trace``/
+    beat file a pool worker refreshes after every simulation step so
+    the executor's supervision can tell slow from dead (the inline
+    drain passes none: nothing supervises it). ``trace``/
     ``trace_dir`` enable distributed tracing (see :func:`execute_unit`).
     """
     t0 = time.perf_counter()

@@ -1197,9 +1197,9 @@ def _profile_trace_path(path: str) -> str:
 def cmd_profile_record(args) -> int:
     """Drain a campaign under one root trace context.
 
-    Every unit derives a child context from the root, every rank
-    shard a grandchild; the per-rank shards merge into one
-    clock-aligned ``merged.jsonl`` per unit under ``<dir>/traces/``.
+    Every unit derives a child context from the root, every rank's
+    lifetime span a grandchild; each unit writes one clock-aligned
+    ``merged.jsonl`` under ``<dir>/traces/<key>/``.
     """
     if args.smoke:
         return _profile_smoke(args)
@@ -1207,7 +1207,7 @@ def cmd_profile_record(args) -> int:
         raise SystemExit("--spec and --dir are required (or pass --smoke)")
 
     from .campaign import CampaignSpec, ExecutorConfig, run_campaign
-    from .telemetry import TraceCollector, mint_context
+    from .telemetry import TraceCollector, merged_trace_path, mint_context
 
     spec = CampaignSpec.load(args.spec)
     config = ExecutorConfig(
@@ -1226,8 +1226,11 @@ def cmd_profile_record(args) -> int:
     print(f"traceparent: {context.to_traceparent()}")
     print(status.describe())
     for key in sorted(store.unit_trace_keys()):
-        state = "merged" if store.has_unit_trace(key) else "shards only"
-        print(f"  {key}: {store.unit_trace_dir(key)} ({state})")
+        trace_dir = str(store.unit_trace_dir(key))
+        if store.has_unit_trace(key):
+            print(f"  {key}: {merged_trace_path(trace_dir)}")
+        else:
+            print(f"  {key}: {trace_dir} (no merged trace)")
     print(f"campaign trace: {store.trace_path}")
     return 1 if status.failed else 0
 

@@ -165,14 +165,18 @@ class CampaignJob:
         executor_config: Optional[ExecutorConfig] = None,
         adopt: Optional[Callable[[RunStore, List[str]], List[str]]] = None,
         publish: Optional[Callable[[RunStore, List[str]], int]] = None,
+        on_drained: Optional[Callable[[CampaignRunStatus], None]] = None,
     ) -> None:
         """Drain the campaign (worker thread); never raises.
 
         ``adopt``/``publish`` are the tenancy layer's shared-cache
-        read-through and write-through hooks. Even a ``BaseException``
-        (worker-thread interrupt, interpreter shutdown) leaves the job
-        in a terminal state with its event bus closed — subscribers
-        and WAL replay must never see a job wedged in ``running``.
+        read-through and write-through hooks. ``on_drained`` gets the
+        drain's status before the job turns terminal, so whatever it
+        records is in place when a client sees the final state. Even a
+        ``BaseException`` (worker-thread interrupt, interpreter
+        shutdown) leaves the job in a terminal state with its event bus
+        closed — subscribers and WAL replay must never see a job wedged
+        in ``running``.
         """
         self._transition(RUNNING)
         self.started_s = time.time()
@@ -203,6 +207,8 @@ class CampaignJob:
                 checkpoint_every=self.spec.checkpoint_every,
             )
             self.status = executor.run(self.units)
+            if on_drained is not None:
+                on_drained(self.status)
             try:
                 write_trace_jsonl(
                     str(self.store.trace_path),

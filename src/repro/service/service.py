@@ -20,13 +20,17 @@ Result caching happens at two content-addressed layers:
 from __future__ import annotations
 
 import asyncio
+import functools
 import hashlib
+import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..campaign import (
+    CampaignRunStatus,
     CampaignSpec,
     ExecutorConfig,
     InFlightRegistry,
@@ -54,6 +58,15 @@ __all__ = [
     "ServiceConfig",
     "ServiceUnavailable",
 ]
+
+
+#: GIL switch interval while a service runs, seconds (CPython's
+#: default is 5 ms). A job thread running a unit is pure Python and
+#: holds the GIL for whole switch intervals; the event loop's request
+#: handlers wait behind it. At 0.2 ms a request waits at most that
+#: long. The setting is process-global, so :meth:`CampaignService.close`
+#: restores the previous value.
+SWITCH_INTERVAL_S = 0.0002
 
 
 class ServiceUnavailable(RuntimeError):
@@ -95,6 +108,9 @@ class CampaignService:
         self._report_cache: Dict[str, Tuple[str, Dict[str, Any]]] = {}
         self._wals: Dict[str, JobWal] = {}
         self._draining = False
+        self._saved_switch_interval: Optional[float] = None
+        #: Job threads count their drains concurrently.
+        self._drain_count_lock = threading.Lock()
         #: Campaign ids rebuilt from the WAL on the last start().
         self.recovered_ids: List[str] = []
 
@@ -102,6 +118,9 @@ class CampaignService:
 
     async def start(self) -> "CampaignService":
         self._loop = asyncio.get_running_loop()
+        if self._saved_switch_interval is None:
+            self._saved_switch_interval = sys.getswitchinterval()
+            sys.setswitchinterval(SWITCH_INTERVAL_S)
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.scheduler.max_running,
             thread_name_prefix="repro-service-worker",
@@ -141,6 +160,9 @@ class CampaignService:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        if self._saved_switch_interval is not None:
+            sys.setswitchinterval(self._saved_switch_interval)
+            self._saved_switch_interval = None
 
     # -- durability ----------------------------------------------------------
 
@@ -280,21 +302,32 @@ class CampaignService:
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(
             self._pool,
-            job.execute,
-            self.inflight,
-            self.config.executor,
-            self.stores.adopt_shared,
-            self.stores.publish_shared,
+            functools.partial(
+                job.execute,
+                self.inflight,
+                self.config.executor,
+                self.stores.adopt_shared,
+                self.stores.publish_shared,
+                on_drained=self._count_drain,
+            ),
         )
-        status = job.status
-        if status is not None:
+
+    def _count_drain(self, status: CampaignRunStatus) -> None:
+        """Unit counters of one finished drain.
+
+        Runs on the job thread before the job's terminal state is
+        visible, so a client that sees ``done`` reads counters that
+        already include the drain.
+        """
+        with self._drain_count_lock:
             self._count("service_units_executed", status.executed)
             self._count("service_units_failed", status.failed)
             # Adopted units are a subset of the skipped ones (the
             # executor sees them as already completed), so don't add
             # them twice.
-            hits = status.skipped + status.attached
-            self._count("service_unit_cache_hits", hits)
+            self._count(
+                "service_unit_cache_hits", status.skipped + status.attached
+            )
 
     # -- queries -------------------------------------------------------------
 

@@ -279,10 +279,10 @@ class Simulation:
                 on_step=on_step,
             )
         finally:
-            self._flush_trace_shards()
+            self._flush_trace()
 
-    def _flush_trace_shards(self) -> None:
-        """Persist the run's per-rank trace shards.
+    def _flush_trace(self) -> None:
+        """Write the run's merged trace into its trace dir.
 
         Observability must never take down a run, so failures are
         swallowed (the run's numbers stand; only the trace artifact is
@@ -293,7 +293,7 @@ class Simulation:
             return
         if getattr(telemetry, "context", None) is None:
             return
-        if getattr(telemetry, "shard_dir", None) is None:
+        if getattr(telemetry, "trace_dir", None) is None:
             return
         try:
             telemetry.flush_shards()

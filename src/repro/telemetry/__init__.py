@@ -21,10 +21,11 @@ those point measurements into analyzable runs, Score-P-style:
   trace-vs-:class:`EnergyReport` reconciliation check;
 * :mod:`~repro.telemetry.context` — W3C-traceparent-style
   :class:`TraceContext` correlating spans across process boundaries
-  (service request → campaign lane → rank shard), deterministically
+  (service request → campaign lane → rank), deterministically
   derived so traces stay bit-stable;
-* :mod:`~repro.telemetry.profile` — per-rank trace shards, the
-  merged clock-aligned trace, and the analysis layer (critical path,
+* :mod:`~repro.telemetry.profile` — the merged clock-aligned trace
+  (built in memory; per-rank shards are its reference format), and
+  the analysis layer (critical path,
   per-kernel × per-rank attribution, flamegraph export, run diffs).
 
 Telemetry is strictly opt-in: without a collector no extra hooks are
@@ -77,10 +78,10 @@ from .profile import (
     StepCritical,
     attribution_table,
     collapsed_stacks,
-    collect_trace,
     critical_path,
     diff_traces,
     gating_consistent_with_waits,
+    merge_events,
     merge_shards,
     merged_trace_path,
     read_trace_shard,
@@ -132,7 +133,7 @@ __all__ = [
     "read_trace_shard",
     "merge_shards",
     "merged_trace_path",
-    "collect_trace",
+    "merge_events",
     "write_merged_trace",
     "critical_path",
     "gating_consistent_with_waits",

@@ -29,7 +29,6 @@ from collections import deque
 from dataclasses import replace
 from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
 
-from .chrome_trace import atomic_write_lines
 from .context import TraceContext
 from .events import (
     TRACK_CLOCKS,
@@ -41,14 +40,13 @@ from .events import (
     InstantEvent,
     SpanEvent,
     TraceEvent,
-    event_sort_key,
 )
 from .metrics import MetricsRegistry
 from .profile import (
-    MAIN_SHARD,
-    partition_events,
-    rank_process_span,
-    shard_lines,
+    merge_events,
+    merged_trace_path,
+    previous_attempt,
+    write_merged_trace,
 )
 
 #: Default ring capacity: comfortably holds the repo's benchmark runs.
@@ -98,8 +96,11 @@ class TraceCollector:
         self._open: Dict[int, Tuple[str, float, float]] = {}
         self._step = 0
         self._context: Optional[TraceContext] = None
-        self._shard_dir: Optional[str] = None
+        self._trace_dir: Optional[str] = None
         self._seq = 0
+        #: Events in the merged trace the last :meth:`flush_shards`
+        #: wrote (0 until a flush succeeds).
+        self.flushed_events = 0
 
     # -- construction helpers --------------------------------------------------
 
@@ -134,15 +135,15 @@ class TraceCollector:
     def configure_tracing(
         self,
         context: TraceContext,
-        shard_dir: Optional[str] = None,
+        trace_dir: Optional[str] = None,
     ) -> None:
         """Attach a :class:`TraceContext`: subsequent span/instant
         events get ``trace_id``/``span_id`` args, and (with a
-        ``shard_dir``) :meth:`flush_shards` persists per-rank
-        shards at the end of the run."""
+        ``trace_dir``) :meth:`flush_shards` writes the merged trace
+        there at the end of the run."""
         self._context = context
-        if shard_dir is not None:
-            self._shard_dir = shard_dir
+        if trace_dir is not None:
+            self._trace_dir = trace_dir
 
     @property
     def context(self) -> Optional[TraceContext]:
@@ -150,47 +151,43 @@ class TraceCollector:
         return self._context
 
     @property
-    def shard_dir(self) -> Optional[str]:
-        return self._shard_dir
+    def trace_dir(self) -> Optional[str]:
+        return self._trace_dir
 
     def flush_shards(self, shard_dir: Optional[str] = None) -> List[str]:
-        """Partition the ring into per-rank shards and persist them.
+        """Write the run's merged trace (``merged.jsonl``) in one go.
 
-        Rank partitioning depends only on each event's rank, so a
-        re-run writes the same bytes. Every write is atomic. Returns
-        the shard paths.
+        The ring is partitioned by rank and merged in memory
+        (:func:`~repro.telemetry.profile.merge_events`); no per-rank
+        shard file is written. ``shard_dir`` is the trace dir (default:
+        the one given to :meth:`configure_tracing`). A merged trace an
+        earlier attempt left there under the same trace id contributes
+        the shards this run did not produce. Rank partitioning depends
+        only on each event's rank, so a re-run writes the same bytes.
+        The write is atomic. Returns ``[path]``.
         """
         if self._context is None:
             raise RuntimeError(
                 "configure_tracing() before flush_shards()"
             )
-        directory = shard_dir if shard_dir is not None else self._shard_dir
+        directory = shard_dir if shard_dir is not None else self._trace_dir
         if directory is None:
             raise RuntimeError(
-                "flush_shards() needs a shard directory (configure_tracing"
-                "(..., shard_dir=...) or pass one explicitly)"
+                "flush_shards() needs a trace directory (configure_tracing"
+                "(..., trace_dir=...) or pass one explicitly)"
             )
+        self.flushed_events = 0
+        trace_id = self._context.trace_id
+        path = merged_trace_path(directory)
+        events = merge_events(
+            self._context, self._events, previous_attempt(path, trace_id)
+        )
         os.makedirs(directory, exist_ok=True)
-        shards = partition_events(self._events)
-        written: List[str] = []
-        for name in sorted(shards):
-            events = shards[name]
-            if name == MAIN_SHARD:
-                shard_ctx = self._context
-            else:
-                rank = int(name.split("-", 1)[1])
-                shard_ctx = self._context.child(name)
-                lifetime = rank_process_span(
-                    self._context, shard_ctx, rank, events
-                )
-                if lifetime is not None:
-                    events = sorted(
-                        events + [lifetime], key=event_sort_key
-                    )
-            path = os.path.join(directory, f"{name}.jsonl")
-            atomic_write_lines(path, shard_lines(shard_ctx, name, events))
-            written.append(path)
-        return written
+        write_merged_trace(
+            path, events, trace_id=trace_id if events else None
+        )
+        self.flushed_events = len(events)
+        return [path]
 
     # -- checkpoint ------------------------------------------------------------
 

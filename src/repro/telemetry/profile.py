@@ -1,15 +1,18 @@
-"""Distributed-trace shards, merging, and the profiling analysis layer.
+"""Distributed-trace merging and the profiling analysis layer.
 
-One traced run produces **per-rank JSONL shards**: the run persists
-the events belonging to each rank, stamped with the run's
-:class:`~repro.telemetry.context.TraceContext`. Shard writes are
-atomic (temp file + ``os.replace``), so a SIGKILL'd process leaves
-either no shard or a complete one — never a torn file.
+One traced run writes **one merged trace** (``merged.jsonl``): at run
+end :func:`merge_events` partitions the run's events **by rank**, adds
+each rank's synthesized ``rank-process`` span and sorts everything
+into one clock-aligned timeline stamped with the run's
+:class:`~repro.telemetry.context.TraceContext`. Every timestamp is
+rank-local virtual time, so the same run writes a byte-identical
+merged trace each time it executes. That determinism is what makes
+re-run and pre/post-change trace diffs meaningful.
 
-Sharding is **by rank**: every timestamp is rank-local virtual time,
-so ``merge_shards`` produces a byte-identical merged trace each time
-the same run executes. That determinism is what makes re-run and
-pre/post-change trace diffs meaningful.
+The per-rank JSONL **shard** format (:func:`shard_lines`,
+:func:`read_trace_shard`, :func:`merge_shards`) is the reference
+definition of that merge: :func:`merge_shards` over a run's shards
+gives the bytes :func:`merge_events` writes.
 
 On top of the merged trace this module implements the analysis layer:
 
@@ -40,13 +43,14 @@ from typing import (
     Tuple,
 )
 
-from .chrome_trace import write_trace_jsonl
+from .chrome_trace import read_trace_jsonl, write_trace_jsonl
 from .context import TraceContext
 from .events import (
     TRACK_CLOCKS,
     TRACK_COUNTERS,
     TRACK_FUNCTIONS,
     TRACK_JOB,
+    CounterEvent,
     SpanEvent,
     TraceEvent,
     check_schema_header,
@@ -78,7 +82,7 @@ DEFAULT_DIFF_THRESHOLD = 0.02
 
 
 # ---------------------------------------------------------------------------
-# Shard partitioning and persistence
+# Rank partitioning and the merged trace
 # ---------------------------------------------------------------------------
 
 def shard_name_for(event: TraceEvent) -> str:
@@ -248,20 +252,99 @@ def write_merged_trace(
     write_trace_jsonl(path, events, **extra)
 
 
-def merged_trace_path(shard_dir: str) -> str:
-    return os.path.join(shard_dir, MERGED_TRACE_NAME)
+def merged_trace_path(trace_dir: str) -> str:
+    return os.path.join(trace_dir, MERGED_TRACE_NAME)
 
 
-def collect_trace(shard_dir: str) -> Tuple[Optional[str], str]:
-    """Merge a trace dir's shards and persist the merged trace.
+def _shard_of(event: TraceEvent) -> str:
+    """Shard of an event read back from a merged trace: a rank's
+    lifetime span belongs to that rank, like the rank's own events."""
+    if event.name == RANK_PROCESS_SPAN and event.track == TRACK_JOB:
+        return f"rank-{event.rank}"
+    return shard_name_for(event)
 
-    Returns ``(trace_id, merged_path)`` — the parent-side collection
-    step after a run's shards are flushed.
+
+#: Value types a JSON write and read return unchanged (counter values
+#: are read back as floats).
+_JSON_SCALARS = (str, int, float, bool, type(None))
+
+
+def _as_read_back(event: TraceEvent) -> TraceEvent:
+    """``event`` as a JSON write and read of its record returns it.
+
+    The read turns integer timestamps and counter values into floats
+    and non-string keys into strings. An event that already
+    round-trips, the common case, is returned as is.
     """
-    trace_id, events = merge_shards(shard_dir)
-    path = merged_trace_path(shard_dir)
-    write_merged_trace(path, events, trace_id=trace_id)
-    return trace_id, path
+    if isinstance(event, CounterEvent):
+        times, fields, scalars = (event.ts_s,), event.values, (float,)
+    else:
+        fields, scalars = event.args, _JSON_SCALARS
+        times = (
+            (event.t0_s, event.t1_s)
+            if isinstance(event, SpanEvent)
+            else (event.ts_s,)
+        )
+    if (
+        type(event.rank) is int
+        and all(type(t) is float for t in times)
+        and all(
+            type(k) is str and type(v) in scalars for k, v in fields.items()
+        )
+    ):
+        return event
+    return from_record(json.loads(json.dumps(to_record(event))))
+
+
+def merge_events(
+    context: TraceContext,
+    events: Iterable[TraceEvent],
+    previous: Iterable[TraceEvent] = (),
+) -> List[TraceEvent]:
+    """One run's merged trace, built in memory.
+
+    The events are partitioned by rank (:func:`partition_events`),
+    each rank gets its :func:`rank_process_span` under
+    ``context.child("rank-N")``, and the shards are concatenated in
+    name order and stably sorted: the events, order and values
+    :func:`merge_shards` reads back from the run's shard files.
+
+    ``previous`` are the events of an earlier attempt's merged trace
+    (a retried or checkpoint-restored unit). Each shard this run did
+    not produce is taken from it, as the earlier attempt's shard file
+    used to be, so a preempted attempt's fault instants stay in the
+    unit's trace.
+    """
+    shards = partition_events(events)
+    for name, bucket in shards.items():
+        if name != MAIN_SHARD:
+            rank = int(name.split("-", 1)[1])
+            bucket.append(
+                rank_process_span(context, context.child(name), rank, bucket)
+            )
+    carried: Dict[str, List[TraceEvent]] = {}
+    for event in previous:
+        name = _shard_of(event)
+        if name not in shards:
+            carried.setdefault(name, []).append(event)
+    shards.update(carried)
+    merged = [event for name in sorted(shards) for event in shards[name]]
+    merged.sort(key=event_sort_key)
+    return [_as_read_back(event) for event in merged]
+
+
+def previous_attempt(path: str, trace_id: str) -> List[TraceEvent]:
+    """Events of the merged trace at ``path`` when it belongs to
+    ``trace_id``; ``[]`` when there is none, it is unreadable, or it
+    belongs to another trace (a later run supersedes it)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = json.loads(fh.readline())
+        if header.get("trace_id") != trace_id:
+            return []
+        return read_trace_jsonl(path)
+    except (OSError, ValueError):
+        return []
 
 
 # ---------------------------------------------------------------------------

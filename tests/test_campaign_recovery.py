@@ -96,6 +96,33 @@ def test_executor_run_resets_stale_liveness(tmp_path):
     assert "99" not in store.read_lane_beats()
 
 
+def test_inline_drain_writes_no_lane_beats(tmp_path):
+    """Only pool-lane supervision reads lane beats, so the inline
+    drain writes none."""
+    spec = _spec(seeds=(0, 1), checkpoint_every=0)
+    store = RunStore(str(tmp_path), campaign=spec.name)
+    status = CampaignExecutor(store).run(spec.expand())
+    assert status.executed == 2
+    assert list(Path(tmp_path).rglob("lane-*.json")) == []
+    assert store.read_lane_beats() == {}
+
+
+def test_pool_drain_beats_every_lane(tmp_path):
+    spec = _spec(seeds=(0, 1, 2, 3), checkpoint_every=0)
+    store = RunStore(str(tmp_path), campaign=spec.name)
+    status = CampaignExecutor(
+        store, config=ExecutorConfig(workers=2)
+    ).run(spec.expand())
+    assert status.executed == 4
+    keys = {unit.key for unit in spec.expand()}
+    beats = store.read_lane_beats()
+    assert sorted(beats) == ["0", "1"]
+    for beat in beats.values():
+        assert beat["pid"] != os.getpid()
+        assert beat["key"] in keys
+        assert beat["step"] == spec.steps
+
+
 # ---------------------------------------------------------------------------
 # worker provenance: preemption resume, corrupt-checkpoint fallback
 # ---------------------------------------------------------------------------

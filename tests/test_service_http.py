@@ -7,6 +7,8 @@ plain stream connection — the same wire a curl/urllib client sees.
 
 import asyncio
 import json
+import sys
+import time
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.service import (
     ServiceConfig,
     serve,
 )
+from repro.service.service import SWITCH_INTERVAL_S
 
 # ---------------------------------------------------------------------------
 # a tiny stdlib HTTP client for the tests
@@ -469,3 +472,51 @@ def test_invalid_tenant_header_is_rejected(tmp_path):
         assert "invalid" in doc["error"]
 
     run_scenario(tmp_path, scenario)
+
+
+# ---------------------------------------------------------------------------
+# engine: counters vs terminal state, GIL handoff
+# ---------------------------------------------------------------------------
+
+
+def test_unit_counters_are_in_place_when_done_is_visible(tmp_path):
+    """The job thread publishes ``done``; a client that sees it must
+    read counters that include the drain, even while the loop has not
+    yet run the job's continuation."""
+
+    async def main():
+        service = CampaignService(ServiceConfig(root=str(tmp_path)))
+        await service.start()
+        try:
+            job, _ = service.submit("alice", spec_doc(name="counted"))
+            while job.state == "queued":
+                await asyncio.sleep(0.001)
+            # Hold the loop (a blocking wait, no await) until the job
+            # thread turns the job terminal.
+            deadline = time.monotonic() + 30.0
+            while not job.terminal:
+                assert time.monotonic() < deadline, "job never finished"
+                time.sleep(0.002)
+            assert job.state == "done"
+            metrics = service.metrics
+            assert metrics.counter_total("service_units_executed") == 1
+            assert metrics.counter_total("service_units_failed") == 0
+        finally:
+            await service.close()
+
+    asyncio.run(main())
+
+
+def test_service_holds_switch_interval_while_running(tmp_path):
+    before = sys.getswitchinterval()
+    assert before != pytest.approx(SWITCH_INTERVAL_S)
+
+    async def main():
+        service = CampaignService(ServiceConfig(root=str(tmp_path)))
+        await service.start()
+        assert sys.getswitchinterval() == pytest.approx(SWITCH_INTERVAL_S)
+        await service.close()
+        assert sys.getswitchinterval() == before
+
+    asyncio.run(main())
+    assert sys.getswitchinterval() == before
