@@ -18,6 +18,14 @@ computed from the decomposition. The gated overhead must stay below
 ``MAX_OVERHEAD_PCT`` — tracing that perturbs the measured run would
 defeat its purpose (see docs/observability.md §8).
 
+The numeric loop hides the tracer behind the numerics, so the bench
+also times tracing where it costs most: the service-shaped model-path
+unit (miniHPC, SedovBlast, mandyn, 2e5 particles, 20 steps, 1 rank;
+what a ``service-mixed`` campaign runs), traced and untraced through
+``run_unit_safe`` in alternating pairs. It records both medians and
+the median per-pair traced/untraced ratio. That ratio is measured and
+recorded, not gated (docs/performance.md §8).
+
 Modes::
 
     python benchmarks/bench_tracing_overhead.py            # full run
@@ -64,6 +72,20 @@ CHECK_CASE = (16, 2, 5)
 
 SEED = 11
 SKIN = 0.1
+
+#: The service-shaped model-path unit (one ``service-mixed`` unit).
+UNIT_CONFIG = {
+    "system": "miniHPC",
+    "workload": "SedovBlast",
+    "particles": 2.0e5,
+    "steps": 20,
+    "ranks": 1,
+    "policy": {"kind": "mandyn"},
+    "seed": 0,
+}
+#: Alternating traced/untraced pairs of the unit: full run, --check.
+FULL_UNIT_PAIRS = 40
+CHECK_UNIT_PAIRS = 10
 
 
 def build_sim(nside: int, telemetry=None):
@@ -182,6 +204,48 @@ def measure(nside: int, steps: int, repeats: int) -> dict:
     }
 
 
+def measure_unit(pairs: int) -> dict:
+    """Traced and untraced wall time of the model-path unit, timed in
+    alternating pairs (the order flips every pair) after one warm-up
+    of each. Reports the medians and the median per-pair ratio."""
+    from statistics import median
+
+    from repro.campaign.worker import run_unit_safe
+    from repro.telemetry import mint_context
+
+    def run(traced: bool, tag: str, tmp: str) -> float:
+        kwargs = {}
+        if traced:
+            kwargs = {
+                "trace": mint_context(seed=f"bench-unit-{tag}").to_dict(),
+                "trace_dir": f"{tmp}/{tag}",
+            }
+        start = time.perf_counter()
+        outcome = run_unit_safe(UNIT_CONFIG, **kwargs)
+        elapsed = time.perf_counter() - start
+        if not outcome["ok"]:
+            raise RuntimeError(f"unit failed: {outcome['error']}")
+        return elapsed
+
+    traced, untraced = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        run(False, "warm", tmp)
+        run(True, "warm", tmp)
+        for i in range(pairs):
+            for is_traced in (False, True) if i % 2 == 0 else (True, False):
+                elapsed = run(is_traced, str(i), tmp)
+                (traced if is_traced else untraced).append(elapsed)
+    return {
+        "config": UNIT_CONFIG,
+        "pairs": pairs,
+        "traced_ms": round(1e3 * median(traced), 2),
+        "untraced_ms": round(1e3 * median(untraced), 2),
+        "ratio": round(
+            median(t / u for t, u in zip(traced, untraced)), 3
+        ),
+    }
+
+
 def gate(case: dict) -> int:
     ok = case["overhead_pct"] < MAX_OVERHEAD_PCT
     print(
@@ -206,6 +270,12 @@ def main() -> int:
 
     case = measure(*(CHECK_CASE if args.check else FULL_CASE))
     rc = gate(case)
+    unit = measure_unit(CHECK_UNIT_PAIRS if args.check else FULL_UNIT_PAIRS)
+    print(
+        f"model-path unit ({unit['pairs']} pairs): traced "
+        f"{unit['traced_ms']:.2f} ms, untraced {unit['untraced_ms']:.2f} ms,"
+        f" ratio {unit['ratio']:.3f} (recorded, not gated)"
+    )
     payload = {
         "benchmark": "tracing_overhead",
         "workload": "SedovBlast (numeric)",
@@ -218,10 +288,16 @@ def main() -> int:
                 "recorded informationally)"
             ),
             "gate_pct": MAX_OVERHEAD_PCT,
+            "model_path_unit": (
+                "median run_unit_safe wall of the unit traced and "
+                "untraced over alternating pairs, and the median "
+                "per-pair traced/untraced ratio (recorded, not gated)"
+            ),
             "seed": SEED,
             "skin": SKIN,
         },
         "result": case,
+        "model_path_unit": unit,
         "ok": rc == 0,
     }
     artifact = SMOKE_ARTIFACT if args.check else ARTIFACT

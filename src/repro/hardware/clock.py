@@ -16,7 +16,7 @@ advanced interval and the integration is exact.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, Tuple
 
 #: Signature of a clock subscriber: called with the interval endpoints.
 ClockListener = Callable[[float, float], None]
@@ -37,7 +37,8 @@ class VirtualClock:
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._listeners: List[ClockListener] = []
+        # A tuple, rebuilt on (un)subscribe: advance iterates it as is.
+        self._listeners: Tuple[ClockListener, ...] = ()
         self._advancing = False
 
     @property
@@ -53,14 +54,16 @@ class VirtualClock:
         """
         if listener in self._listeners:
             raise ClockError("listener already subscribed")
-        self._listeners.append(listener)
+        self._listeners += (listener,)
 
     def unsubscribe(self, listener: ClockListener) -> None:
         """Remove a previously registered listener."""
+        listeners = list(self._listeners)
         try:
-            self._listeners.remove(listener)
+            listeners.remove(listener)
         except ValueError:
             raise ClockError("listener was not subscribed") from None
+        self._listeners = tuple(listeners)
 
     def advance(self, dt: float) -> float:
         """Advance simulated time by ``dt`` seconds and notify listeners.
@@ -78,7 +81,7 @@ class VirtualClock:
         t1 = t0 + dt
         self._advancing = True
         try:
-            for listener in list(self._listeners):
+            for listener in self._listeners:
                 listener(t0, t1)
         finally:
             self._advancing = False

@@ -28,6 +28,9 @@ class SimulatedCpu:
         self._activity = self.DRIVING_ACTIVITY
         self._freq_khz = spec.nominal_freq_khz
         self._energy_j = 0.0
+        # power_w memo: the exact (activity, freq_khz) it was computed at.
+        self._power_key = (self._activity, self._freq_khz)
+        self._power_value = spec.power_w(self._activity, self._freq_khz)
         clock.subscribe(self._on_advance)
 
     @property
@@ -63,7 +66,11 @@ class SimulatedCpu:
 
     def power_w(self) -> float:
         """Instantaneous package power."""
-        return self.spec.power_w(self._activity, self._freq_khz)
+        key = (self._activity, self._freq_khz)
+        if key != self._power_key:
+            self._power_key = key
+            self._power_value = self.spec.power_w(*key)
+        return self._power_value
 
     @property
     def energy_j(self) -> float:

@@ -19,7 +19,6 @@ Fig. 9 reproduction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -36,15 +35,21 @@ class GpuError(RuntimeError):
     """Raised on invalid device operations (bad clocks, re-entrancy...)."""
 
 
-@dataclass
 class _PowerState:
-    """Instantaneous power-relevant device state."""
+    """Instantaneous power-relevant device state.
 
-    busy: bool
-    clock_hz: float
-    intensity: float
-    voltage_margin_hz: float
-    kernel_name: Optional[str]
+    One instance per device, mutated in place at every transition. The
+    kernel fields (clock, intensity, voltage margin) describe the
+    resident kernel and are read only while ``busy``.
+    """
+
+    __slots__ = ("busy", "clock_hz", "intensity", "voltage_margin_hz")
+
+    def __init__(self) -> None:
+        self.busy = False
+        self.clock_hz = 0.0
+        self.intensity = 0.0
+        self.voltage_margin_hz = 0.0
 
 
 class SimulatedGpu:
@@ -66,13 +71,7 @@ class SimulatedGpu:
         self._app_clock_hz: Optional[float] = spec.default_clock_hz
         self._memory_clock_hz: float = spec.memory_clock_hz
         self._temp_c = spec.thermal.ambient_c
-        self._state = _PowerState(
-            busy=False,
-            clock_hz=self.current_clock_hz,
-            intensity=0.0,
-            voltage_margin_hz=0.0,
-            kernel_name=None,
-        )
+        self._state = _PowerState()
         self._energy_j = 0.0
         self._busy_seconds = 0.0
         self._kernel_records: Dict[str, KernelRecord] = {}
@@ -204,20 +203,23 @@ class SimulatedGpu:
         self._executing = True
         try:
             start = self._clock.now
-            record = self._kernel_records.setdefault(
-                kernel.name, KernelRecord(name=kernel.name)
-            )
-            if self.dvfs_active:
+            name = kernel.name
+            record = self._kernel_records.get(name)
+            if record is None:
+                record = self._kernel_records[name] = KernelRecord(name=name)
+            governed = self.dvfs_active
+            if governed:
                 self._governor.note_launch(kernel.power_intensity)
             if kernel.launch_overhead > 0.0:
                 # Host-side launch latency: device not yet busy.
                 self._set_idle_state()
                 self._clock.advance(kernel.launch_overhead)
             energy_before = self._energy_j
-            if self.dvfs_active:
-                busy = self._execute_governed(kernel)
+            eff = self.spec.kernel_efficiency(name)
+            if governed:
+                busy = self._execute_governed(kernel, eff)
             else:
-                busy = self._execute_pinned(kernel)
+                busy = self._execute_pinned(kernel, eff)
             self._set_idle_state()
             record.launches += 1
             record.busy_seconds += busy
@@ -231,85 +233,74 @@ class SimulatedGpu:
     #: Slice length for re-evaluating thermal caps during pinned kernels.
     THERMAL_SLICE_S = 0.25
 
-    def _execute_pinned(self, kernel: KernelLaunch) -> float:
+    # The slice loops advance plain floats: each slice leaves
+    # ``remaining *= 1 - frac`` of the work with ``0 < frac <= 1``, so
+    # the work stays non-negative without re-validating a launch.
+
+    def _execute_pinned(self, kernel: KernelLaunch, eff: float) -> float:
         remaining_flops = kernel.flops
         remaining_bytes = kernel.bytes_moved
+        intensity = kernel.power_intensity
+        phase_seconds = self._perf.phase_seconds
+        throttle_near_c = self.spec.thermal.throttle_temp_c - 3.0
+        state = self._state
         busy_total = 0.0
         while remaining_flops > 1e-9 or remaining_bytes > 1e-9:
             clock_hz = self.current_clock_hz  # thermal cap applies
-            part = KernelLaunch(
-                name=kernel.name,
-                flops=remaining_flops,
-                bytes_moved=remaining_bytes,
-                power_intensity=kernel.power_intensity,
+            compute, memory = phase_seconds(
+                remaining_flops, remaining_bytes, clock_hz, eff
             )
-            timing = self._perf.timing(part, clock_hz)
-            full = timing.compute_seconds + timing.memory_seconds
+            full = compute + memory
             if full <= 0.0:
                 break
             # Full-slice execution unless the die is near the throttle
             # limit, where the cap must be re-evaluated frequently.
-            near_limit = (
-                self._temp_c
-                > self.spec.thermal.throttle_temp_c - 3.0
-            )
+            near_limit = self._temp_c > throttle_near_c
             dt = min(full, self.THERMAL_SLICE_S) if near_limit else full
             frac = dt / full
             remaining_flops *= 1.0 - frac
             remaining_bytes *= 1.0 - frac
-            self._state = _PowerState(
-                busy=True,
-                clock_hz=clock_hz,
-                intensity=kernel.power_intensity,
-                voltage_margin_hz=0.0,
-                kernel_name=kernel.name,
-            )
+            state.busy = True
+            state.clock_hz = clock_hz
+            state.intensity = intensity
+            state.voltage_margin_hz = 0.0
             self._clock.advance(dt)
             busy_total += dt
         return busy_total
 
-    def _execute_governed(self, kernel: KernelLaunch) -> float:
+    def _execute_governed(self, kernel: KernelLaunch, eff: float) -> float:
         remaining_flops = kernel.flops
         remaining_bytes = kernel.bytes_moved
-        quantum = self._governor.quantum
+        intensity = kernel.power_intensity
+        phase_seconds = self._perf.phase_seconds
+        governor = self._governor
+        quantum = governor.quantum
+        state = self._state
         busy_total = 0.0
         while remaining_flops > 1e-9 or remaining_bytes > 1e-9:
             clock_hz = self.current_clock_hz  # governor + thermal cap
-            part = KernelLaunch(
-                name=kernel.name,
-                flops=remaining_flops,
-                bytes_moved=remaining_bytes,
-                power_intensity=kernel.power_intensity,
+            compute, memory = phase_seconds(
+                remaining_flops, remaining_bytes, clock_hz, eff
             )
-            timing = self._perf.timing(part, clock_hz)
-            full = timing.compute_seconds + timing.memory_seconds
+            full = compute + memory
             if full <= 0.0:
                 break
             dt = min(full, quantum)
             frac = dt / full
             remaining_flops *= 1.0 - frac
             remaining_bytes *= 1.0 - frac
-            self._state = _PowerState(
-                busy=True,
-                clock_hz=clock_hz,
-                intensity=kernel.power_intensity,
-                voltage_margin_hz=self._governor.voltage_margin_hz,
-                kernel_name=kernel.name,
-            )
+            state.busy = True
+            state.clock_hz = clock_hz
+            state.intensity = intensity
+            state.voltage_margin_hz = governor.voltage_margin_hz
             self._clock.advance(dt)
-            self._governor.observe_busy(dt, kernel.power_intensity)
+            governor.observe_busy(dt, intensity)
             self._record_trace_point()
             busy_total += dt
         return busy_total
 
     def _set_idle_state(self) -> None:
-        self._state = _PowerState(
-            busy=False,
-            clock_hz=self.current_clock_hz,
-            intensity=0.0,
-            voltage_margin_hz=0.0,
-            kernel_name=None,
-        )
+        self._state.busy = False
 
     # ------------------------------------------------------------------
     # Power / energy accounting
@@ -397,7 +388,7 @@ class SimulatedGpu:
         """Checkpointable device state (valid at kernel boundaries only).
 
         The instantaneous ``_PowerState`` is not stored: at a step
-        boundary the device is idle, so restore rebuilds it via
+        boundary the device is idle, so restore resets it via
         :meth:`_set_idle_state`. The Fig. 9 frequency trace is a debug
         aid and deliberately not checkpointed. Busy intervals older
         than every plausible utilization window are pruned, mirroring

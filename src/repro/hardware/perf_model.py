@@ -17,6 +17,7 @@ lightweight kernels barely notice (Fig. 8a).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from .kernel import KernelLaunch
 from .specs import GpuSpec
@@ -55,22 +56,35 @@ class GpuPerfModel:
 
     def timing(self, kernel: KernelLaunch, clock_hz: float) -> KernelTiming:
         """Duration breakdown of ``kernel`` at graphics clock ``clock_hz``."""
-        spec = self._spec
-        if clock_hz <= 0.0:
-            raise ValueError(f"clock must be positive, got {clock_hz!r}")
-        eff = spec.kernel_efficiency(kernel.name)
-        throughput = spec.fp_throughput * eff * (clock_hz / spec.max_clock_hz)
-        compute = kernel.flops / throughput if kernel.flops > 0.0 else 0.0
-        memory = (
-            kernel.bytes_moved / spec.mem_bandwidth
-            if kernel.bytes_moved > 0.0
-            else 0.0
+        compute, memory = self.phase_seconds(
+            kernel.flops,
+            kernel.bytes_moved,
+            clock_hz,
+            self._spec.kernel_efficiency(kernel.name),
         )
         return KernelTiming(
             compute_seconds=compute,
             memory_seconds=memory,
             overhead_seconds=kernel.launch_overhead,
         )
+
+    def phase_seconds(
+        self, flops: float, bytes_moved: float, clock_hz: float, eff: float
+    ) -> Tuple[float, float]:
+        """``(compute, memory)`` seconds of the given work at ``clock_hz``.
+
+        The one definition of the roofline: :meth:`timing` and the
+        device's per-slice loop both call it. ``eff`` is the kernel's
+        :meth:`~repro.hardware.specs.GpuSpec.kernel_efficiency`, which a
+        caller advancing one launch over many slices looks up once.
+        """
+        spec = self._spec
+        if clock_hz <= 0.0:
+            raise ValueError(f"clock must be positive, got {clock_hz!r}")
+        throughput = spec.fp_throughput * eff * (clock_hz / spec.max_clock_hz)
+        compute = flops / throughput if flops > 0.0 else 0.0
+        memory = bytes_moved / spec.mem_bandwidth if bytes_moved > 0.0 else 0.0
+        return compute, memory
 
     def duration(self, kernel: KernelLaunch, clock_hz: float) -> float:
         """Total duration of ``kernel`` at ``clock_hz`` in seconds."""

@@ -242,25 +242,6 @@ def symmetric_pairs(nlist: NeighborList) -> "tuple[np.ndarray, np.ndarray]":
     return i_idx, j_idx
 
 
-def pair_displacements_from_indices(
-    particles: ParticleSet,
-    i_idx: np.ndarray,
-    j_idx: np.ndarray,
-    box_size: Optional[float] = None,
-):
-    """Displacements/distances for explicit directed pair arrays."""
-    dx = particles.x[i_idx] - particles.x[j_idx]
-    dy = particles.y[i_idx] - particles.y[j_idx]
-    dz = particles.z[i_idx] - particles.z[j_idx]
-    if box_size is not None:
-        dx -= box_size * np.round(dx / box_size)
-        dy -= box_size * np.round(dy / box_size)
-        dz -= box_size * np.round(dz / box_size)
-    r = np.sqrt(dx * dx + dy * dy + dz * dz)
-    r = np.maximum(r, 1e-300)
-    return dx, dy, dz, r, i_idx, j_idx
-
-
 def pair_displacements(
     particles: ParticleSet,
     nlist: NeighborList,

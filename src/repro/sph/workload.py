@@ -213,6 +213,7 @@ class WorkloadModel:
             costs.insert(idx, GRAVITY_COST)
         self._costs: Dict[str, KernelCost] = {c.function: c for c in costs}
         self._order = [c.function for c in costs]
+        self._launches: Dict[str, Tuple[KernelLaunch, ...]] = {}
 
     @property
     def order(self) -> List[str]:
@@ -230,8 +231,20 @@ class WorkloadModel:
         """Device utilization fraction implied by the local problem size."""
         return min(self.n_particles / FULL_UTILIZATION_PARTICLES, 1.0)
 
-    def launches_for(self, function: str) -> List[KernelLaunch]:
-        """The kernel launches one rank submits for ``function``."""
+    def launches_for(self, function: str) -> Tuple[KernelLaunch, ...]:
+        """The kernel launches one rank submits for ``function``.
+
+        Computed once per model and function: the model's inputs are
+        fixed (``with_*`` return new models) and launches are frozen.
+        """
+        launches = self._launches.get(function)
+        if launches is None:
+            launches = self._launches[function] = self._build_launches(
+                function
+            )
+        return launches
+
+    def _build_launches(self, function: str) -> Tuple[KernelLaunch, ...]:
         cost = self.cost(function)
         scale = (
             self.mean_neighbors / REFERENCE_NEIGHBORS
@@ -258,16 +271,14 @@ class WorkloadModel:
             MIN_INTENSITY_FRACTION + (1.0 - MIN_INTENSITY_FRACTION) * u
         )
         per_launch = 1.0 / cost.launches
-        return [
-            KernelLaunch(
-                name=function,
-                flops=flops * per_launch,
-                bytes_moved=nbytes * per_launch,
-                power_intensity=min(intensity, 1.0),
-                launch_overhead=cost.launch_overhead_s,
-            )
-            for _ in range(cost.launches)
-        ]
+        launch = KernelLaunch(
+            name=function,
+            flops=flops * per_launch,
+            bytes_moved=nbytes * per_launch,
+            power_intensity=min(intensity, 1.0),
+            launch_overhead=cost.launch_overhead_s,
+        )
+        return (launch,) * cost.launches
 
     def with_neighbors(self, mean_neighbors: float) -> "WorkloadModel":
         """Copy with an updated neighbor count (numeric-mode feedback)."""

@@ -39,6 +39,10 @@ TRACK_TIDS: Dict[str, int] = {track: tid for tid, track in enumerate(TRACKS)}
 
 _SECONDS_TO_US = 1e6
 
+#: Encoder of every trace JSONL line: what ``json.dumps(obj,
+#: sort_keys=True)`` gives, without building an encoder per line.
+TRACE_LINE_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 def _metadata_events(ranks: Sequence[int], tracks: Sequence[str]) -> List[dict]:
     """Process/thread naming metadata (``ph: "M"`` records)."""
@@ -144,12 +148,16 @@ def write_chrome_trace(
         json.dump(to_chrome_trace(events, label=label), fh, indent=1)
 
 
-def atomic_write_lines(path: str, lines: Sequence[str]) -> None:
+def atomic_write_lines(
+    path: str, lines: Sequence[str], fsync: bool = True
+) -> None:
     """Write text lines atomically: temp file + fsync + ``os.replace``.
 
     Same idiom as the ``metrics.prom`` writer — a reader (or a process
     killed mid-write) sees either the previous complete file or the new
-    complete file, never a torn one.
+    complete file, never a torn one. ``fsync=False`` keeps the atomic
+    replace but not durability across a host crash, for files that
+    nothing needs to resume from.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(
@@ -160,8 +168,9 @@ def atomic_write_lines(path: str, lines: Sequence[str]) -> None:
             for line in lines:
                 fh.write(line)
                 fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+            if fsync:
+                fh.flush()
+                os.fsync(fh.fileno())
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -171,21 +180,26 @@ def atomic_write_lines(path: str, lines: Sequence[str]) -> None:
         raise
 
 
+def trace_jsonl_lines(
+    events: Iterable[TraceEvent], **extra: Any
+) -> List[str]:
+    """The compact JSONL export's lines: schema header, then one line
+    per event in :func:`~repro.telemetry.events.event_sort_key` order.
+    Keyword extras (e.g. ``trace_id``) land in the header; readers
+    tolerate the additional keys."""
+    ordered = sorted(events, key=event_sort_key)
+    encode = TRACE_LINE_ENCODER.encode
+    lines = [encode(schema_header("trace", events=len(ordered), **extra))]
+    lines.extend(encode(to_record(e)) for e in ordered)
+    return lines
+
+
 def write_trace_jsonl(
     path: str, events: Iterable[TraceEvent], **extra: Any
 ) -> None:
-    """Atomically write the compact JSONL export (schema header + one
-    line per event). Keyword extras (e.g. ``trace_id``) land in the
-    header; readers tolerate the additional keys."""
-    ordered = sorted(events, key=event_sort_key)
-    lines = [
-        json.dumps(
-            schema_header("trace", events=len(ordered), **extra),
-            sort_keys=True,
-        )
-    ]
-    lines.extend(json.dumps(to_record(e), sort_keys=True) for e in ordered)
-    atomic_write_lines(path, lines)
+    """Atomically write the compact JSONL export
+    (:func:`trace_jsonl_lines`)."""
+    atomic_write_lines(path, trace_jsonl_lines(events, **extra))
 
 
 def read_trace_jsonl(path: str) -> List[TraceEvent]:

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import replace
-from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple, Union
 
 from .context import TraceContext
 from .events import (
@@ -41,7 +40,7 @@ from .events import (
     SpanEvent,
     TraceEvent,
 )
-from .metrics import MetricsRegistry
+from .metrics import Counter, Histogram, MetricsRegistry
 from .profile import (
     merge_events,
     merged_trace_path,
@@ -98,6 +97,12 @@ class TraceCollector:
         self._context: Optional[TraceContext] = None
         self._trace_dir: Optional[str] = None
         self._seq = 0
+        # Metric handles of the per-span path, by function. They point
+        # into the registry, so restore_state (which replaces its
+        # objects) drops them.
+        self._spans_counter: Optional[Counter] = None
+        self._time_hists: Dict[str, Histogram] = {}
+        self._gpu_hists: Dict[str, Histogram] = {}
         #: Events in the merged trace the last :meth:`flush_shards`
         #: wrote (0 until a flush succeeds).
         self.flushed_events = 0
@@ -211,6 +216,9 @@ class TraceCollector:
         self._step = int(state["step"])
         self.dropped = int(state["dropped"])
         self.metrics.restore_state(state["metrics"])
+        self._spans_counter = None
+        self._time_hists = {}
+        self._gpu_hists = {}
         self._events.clear()
         self._open = {}
         self._seq = 0
@@ -266,18 +274,20 @@ class TraceCollector:
             and (track is None or e.track == track)
         ]
 
-    def _append(self, event: TraceEvent) -> None:
+    def _append_stamped(self, event: Union[SpanEvent, InstantEvent]) -> None:
+        """Append a span or instant just built here, first adding the
+        trace context's ``trace_id`` and next ``span_id`` to its args
+        (a fresh dict this collector owns) when tracing is configured;
+        ids the caller set are kept."""
         context = self._context
-        if context is not None and isinstance(
-            event, (SpanEvent, InstantEvent)
-        ):
-            args = dict(event.args)
+        if context is not None:
+            args = event.args
             args.setdefault("trace_id", context.trace_id)
-            args.setdefault(
-                "span_id", context.event_span_id(self._seq)
-            )
+            args.setdefault("span_id", context.event_span_id(self._seq))
             self._seq += 1
-            event = replace(event, args=args)
+        self._append(event)
+
+    def _append(self, event: TraceEvent) -> None:
         if len(self._events) >= self.max_events:
             self._events.popleft()
             self.dropped += 1
@@ -298,7 +308,7 @@ class TraceCollector:
                 f"{open_fn!r} is open"
             )
         t1 = self.now(rank)
-        self._append(
+        self._append_stamped(
             SpanEvent(
                 name=function,
                 rank=rank,
@@ -308,15 +318,23 @@ class TraceCollector:
                 args={"step": self._step},
             )
         )
-        self.metrics.counter("spans_recorded").inc()
-        self.metrics.histogram(
-            "function_time_s", bounds=LATENCY_BOUNDS, function=function
-        ).observe(t1 - t0)
+        if self._spans_counter is None:
+            self._spans_counter = self.metrics.counter("spans_recorded")
+        self._spans_counter.inc()
+        hist = self._time_hists.get(function)
+        if hist is None:
+            hist = self._time_hists[function] = self.metrics.histogram(
+                "function_time_s", bounds=LATENCY_BOUNDS, function=function
+            )
+        hist.observe(t1 - t0)
         if self._gpus is not None:
             gpu = self._gpus[rank]
-            self.metrics.histogram(
-                "function_gpu_j", bounds=ENERGY_BOUNDS, function=function
-            ).observe(gpu.energy_j - gpu_j0)
+            hist = self._gpu_hists.get(function)
+            if hist is None:
+                hist = self._gpu_hists[function] = self.metrics.histogram(
+                    "function_gpu_j", bounds=ENERGY_BOUNDS, function=function
+                )
+            hist.observe(gpu.energy_j - gpu_j0)
             self._append(
                 CounterEvent(
                     name="gpu",
@@ -345,7 +363,7 @@ class TraceCollector:
         **args: Any,
     ) -> None:
         """Record a point-in-time occurrence on a rank's track."""
-        self._append(
+        self._append_stamped(
             InstantEvent(
                 name=name,
                 rank=rank,
@@ -471,7 +489,7 @@ class TraceCollector:
         **args: Any,
     ) -> None:
         """A named phase span with explicit endpoints (job lifecycle)."""
-        self._append(
+        self._append_stamped(
             SpanEvent(
                 name=name, rank=rank, t0_s=t0, t1_s=t1, track=track, args=args
             )

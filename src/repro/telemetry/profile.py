@@ -43,7 +43,12 @@ from typing import (
     Tuple,
 )
 
-from .chrome_trace import read_trace_jsonl, write_trace_jsonl
+from .chrome_trace import (
+    TRACE_LINE_ENCODER,
+    atomic_write_lines,
+    read_trace_jsonl,
+    trace_jsonl_lines,
+)
 from .context import TraceContext
 from .events import (
     TRACK_CLOCKS,
@@ -156,11 +161,9 @@ def shard_lines(
     context: TraceContext, shard: str, events: Sequence[TraceEvent]
 ) -> List[str]:
     """Serialized shard content: header line + one line per event."""
-    lines = [json.dumps(shard_header(context, shard, len(events)),
-                        sort_keys=True)]
-    lines.extend(
-        json.dumps(to_record(e), sort_keys=True) for e in events
-    )
+    encode = TRACE_LINE_ENCODER.encode
+    lines = [encode(shard_header(context, shard, len(events)))]
+    lines.extend(encode(to_record(e)) for e in events)
     return lines
 
 
@@ -244,12 +247,18 @@ def write_merged_trace(
     events: Iterable[TraceEvent],
     trace_id: Optional[str] = None,
 ) -> None:
-    """Persist the merged trace (atomic; standard ``trace`` JSONL, so
-    ``repro trace export`` and :func:`read_trace_jsonl` load it)."""
+    """Persist the merged trace (standard ``trace`` JSONL, so
+    ``repro trace export`` and :func:`read_trace_jsonl` load it).
+
+    The write is atomic but not fsync'd: the merged trace is
+    observability output that no resume path reads, and
+    :func:`previous_attempt` treats one that a host crash left missing,
+    empty or unreadable as absent.
+    """
     extra: Dict[str, Any] = {}
     if trace_id is not None:
         extra["trace_id"] = trace_id
-    write_trace_jsonl(path, events, **extra)
+    atomic_write_lines(path, trace_jsonl_lines(events, **extra), fsync=False)
 
 
 def merged_trace_path(trace_dir: str) -> str:

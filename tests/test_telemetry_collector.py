@@ -192,3 +192,59 @@ def test_ring_buffer_drop_accounting_under_sampler_pressure():
     assert timestamps == sorted(timestamps)
     assert timestamps[-1] == pytest.approx(ticks * 0.01)
     assert timestamps[0] == pytest.approx((emitted - capacity) * 0.01)
+
+
+def _traced_mandyn_sim(trace_dir):
+    from repro.campaign.worker import build_policy
+    from repro.sph import Simulation
+    from repro.telemetry import mint_context
+    from repro.units import to_mhz
+
+    system = by_name("miniHPC")
+    cluster = Cluster(system, 2)
+    collector = TraceCollector.for_cluster(cluster)
+    collector.configure_tracing(
+        mint_context(seed="restore-metrics"), trace_dir=str(trace_dir)
+    )
+    policy = build_policy(
+        {"kind": "mandyn"},
+        to_mhz(system.gpu_spec.max_clock_hz),
+        cluster=cluster,
+    )
+    sim = Simulation(
+        cluster, "SedovBlast", 2e5, policy=policy, telemetry=collector
+    )
+    return sim, cluster, collector
+
+
+def test_restore_keeps_metrics_and_cpu_energy_of_an_uninterrupted_run(
+    tmp_path,
+):
+    """A collector restored mid-run (rolled back onto its checkpoint)
+    must observe into the restored registry: the cached per-span metric
+    handles are dropped with the objects they pointed at."""
+    steps = 6
+    sim, cluster, whole = _traced_mandyn_sim(tmp_path / "whole")
+    try:
+        sim.run(steps)
+        expected = whole.metrics.snapshot()
+        expected_cpu_j = cluster.device_energy_breakdown_j()["CPU"]
+    finally:
+        cluster.detach_management_library()
+
+    checkpoint = str(tmp_path / "unit.ckpt")
+    sim, cluster, restored = _traced_mandyn_sim(tmp_path / "restored")
+    try:
+        sim.run(4, checkpoint_every=2, checkpoint_path=checkpoint)
+        # Same simulation, same collector: resume from the step-4
+        # checkpoint and finish the run.
+        sim.run(steps, restore_from=checkpoint)
+        got = restored.metrics.snapshot()
+        got_cpu_j = cluster.device_energy_breakdown_j()["CPU"]
+    finally:
+        cluster.detach_management_library()
+    assert got["histograms"]["function_time_s{function=XMass}"]["count"] == (
+        2 * steps
+    )
+    assert got == expected
+    assert got_cpu_j == expected_cpu_j
