@@ -2,7 +2,7 @@
 
 A laptop-scale version of the paper's primary workload: a periodic box
 of driven subsonic turbulence integrated with the actual SPH pipeline
-(octree domain decomposition, Wendland C6 kernels, IAD derivatives,
+(Morton-key domain decomposition, Wendland C6 kernels, IAD derivatives,
 grad-h momentum/energy, CFL time-stepping) on 2 simulated MPI ranks,
 with full per-function energy instrumentation.
 

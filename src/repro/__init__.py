@@ -13,7 +13,8 @@ substrate (see DESIGN.md):
 * ``repro.slurm``     — job management with energy accounting;
 * ``repro.mpi``       — a deterministic rank simulator;
 * ``repro.sph``       — an SPH-EXA-like simulation framework
-  (octree domain decomposition, real SPH numerics, workload models);
+  (Morton-key domain decomposition, real SPH numerics, workload
+  models);
 * ``repro.core``      — the paper's contribution: instrumentation for
   per-function energy measurement and dynamic GPU frequency scaling;
 * ``repro.telemetry`` — structured tracing + metrics: typed trace

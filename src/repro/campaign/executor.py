@@ -123,10 +123,10 @@ class ExecutorConfig:
     backoff_multiplier: float = 2.0
     #: Execute at most this many missing units (smoke tests, previews).
     max_units: Optional[int] = None
-    #: Declare a worker lane dead after this many seconds without a
-    #: beat (``None`` disables supervision). Dead lanes get a SIGTERM
-    #: (best effort), lose their in-flight unit to the transient-retry
-    #: path, and release their claim.
+    #: Declare a started pool unit dead after this many seconds without
+    #: a beat of its own (``None`` disables supervision). Its worker gets
+    #: a SIGTERM (best effort), the unit goes to the transient-retry
+    #: path, and its claim is released.
     lane_dead_after_s: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -198,7 +198,6 @@ class CampaignExecutor:
         store: RunStore,
         config: Optional[ExecutorConfig] = None,
         telemetry: Optional[Any] = None,
-        min_unit_wall_s: float = 0.0,
         on_event: Optional[Callable[[Dict[str, Any]], None]] = None,
         should_stop: Optional[Callable[[], bool]] = None,
         inflight: Optional[InFlightRegistry] = None,
@@ -210,7 +209,6 @@ class CampaignExecutor:
         self.store = store
         self.config = config or ExecutorConfig()
         self.telemetry = telemetry
-        self.min_unit_wall_s = float(min_unit_wall_s)
         self.on_event = on_event
         self.should_stop = should_stop
         self.inflight = inflight
@@ -306,8 +304,10 @@ class CampaignExecutor:
             return None
         return str(self.store.checkpoint_path(unit.key))
 
-    def _beat_path(self, lane: int) -> str:
-        return str(self.store.lane_beat_path(lane))
+    def _fresh_beat_path(self, unit: RunUnit) -> str:
+        """The unit's beat file, cleared of any earlier attempt's beat."""
+        self.store.clear_unit_beat(unit.key)
+        return str(self.store.unit_beat_path(unit.key))
 
     def _trace_for(self, unit: RunUnit):
         """(trace dict, trace dir) for one unit — or ``(None, None)``.
@@ -383,8 +383,8 @@ class CampaignExecutor:
     ) -> None:
         """Run units one by one in this thread.
 
-        Units write no lane beat here: only pool-lane supervision
-        (:meth:`_lane_is_dead`, :meth:`_reap_lane`) reads them.
+        Units write no beat here: only pool supervision
+        (:meth:`_unit_is_dead`, :meth:`_reap_unit`) reads them.
         """
         for unit in pending:
             if self._stopping():
@@ -400,7 +400,6 @@ class CampaignExecutor:
                     trace, trace_dir = self._trace_for(unit)
                     outcome = run_unit_safe(
                         unit.config(),
-                        self.min_unit_wall_s,
                         checkpoint_path=self._checkpoint_path(unit),
                         checkpoint_every=self.checkpoint_every,
                         trace=trace,
@@ -443,35 +442,32 @@ class CampaignExecutor:
             poll = tick if poll is None else min(poll, tick)
         return poll
 
-    def _lane_is_dead(
-        self, unit: RunUnit, lane: int, dispatched_wall: float
-    ) -> bool:
-        """Missed-heartbeat verdict for one in-flight lane.
+    def _unit_is_dead(self, unit: RunUnit) -> bool:
+        """Missed-heartbeat verdict for one in-flight pool unit.
 
-        A lane is live while its beat file carries a fresh beat *for
-        the unit it was dispatched* (a leftover beat from the previous
-        occupant must not vouch for the current one). Before the first
-        step completes there is no beat at all, so the dispatch time
-        anchors the grace period.
+        Only a beat carrying the unit's own key counts. A unit without
+        one has not started (its future is still queued behind the
+        running ones), so it is not dead; a started unit is dead once
+        its latest beat is older than the threshold. The worker writes a
+        beat as the unit starts, so a hang in the first step is caught.
         """
-        threshold = self.config.lane_dead_after_s
-        beat = self.store.read_lane_beats().get(str(lane), {})
-        last = dispatched_wall
-        if beat.get("key") == unit.key:
-            last = max(last, float(beat.get("updated_s", 0.0)))
-        return time.time() - last > threshold
+        beat = self.store.read_unit_beat(unit.key)
+        if beat.get("key") != unit.key:
+            return False
+        updated = float(beat.get("updated_s", 0.0))
+        return time.time() - updated > self.config.lane_dead_after_s
 
-    def _reap_lane(self, lane: int) -> None:
-        """Best-effort SIGTERM to a dead lane's recorded worker pid.
+    def _reap_unit(self, unit: RunUnit) -> None:
+        """Best-effort SIGTERM to the worker pid in a dead unit's beat.
 
         With checkpointing enabled the worker's SIGTERM handler turns
         this into a :class:`~repro.faults.JobPreempted`, so a hung-but-
         alive worker persists a final checkpoint and frees its pool
         slot; a truly dead process ignores it harmlessly.
         """
-        beat = self.store.read_lane_beats().get(str(lane), {})
+        beat = self.store.read_unit_beat(unit.key)
         pid = beat.get("pid")
-        if not pid:
+        if beat.get("key") != unit.key or not pid:
             return
         try:
             os.kill(int(pid), signal.SIGTERM)
@@ -483,7 +479,7 @@ class CampaignExecutor:
     ) -> None:
         cfg = self.config
         queue = deque((unit, 0) for unit in pending)
-        # future -> (unit, attempts, t_start, lane, dispatched_wall)
+        # future -> (unit, attempts, t_start, lane)
         in_flight: Dict[Any, Any] = {}
         next_lane = 0
         pool = ProcessPoolExecutor(max_workers=cfg.workers)
@@ -503,16 +499,13 @@ class CampaignExecutor:
                     future = pool.submit(
                         run_unit_safe,
                         unit.config(),
-                        self.min_unit_wall_s,
                         self._checkpoint_path(unit),
                         self.checkpoint_every,
-                        self._beat_path(lane),
+                        self._fresh_beat_path(unit),
                         trace,
                         trace_dir,
                     )
-                    in_flight[future] = (
-                        unit, attempts, self._now(), lane, time.time()
-                    )
+                    in_flight[future] = (unit, attempts, self._now(), lane)
                 finished, _ = wait(
                     list(in_flight),
                     timeout=self._poll_interval(),
@@ -520,7 +513,7 @@ class CampaignExecutor:
                 )
                 broken = False
                 for future in finished:
-                    unit, attempts, t_start, lane, _ = in_flight.pop(future)
+                    unit, attempts, t_start, lane = in_flight.pop(future)
                     try:
                         outcome = future.result()
                     except BrokenProcessPool:
@@ -548,7 +541,7 @@ class CampaignExecutor:
                     # Drain the rest of the poisoned pool: requeue every
                     # in-flight unit as a transient failure, then start
                     # a fresh pool so the campaign keeps going.
-                    for future, (unit, attempts, t_start, lane, _) in list(
+                    for future, (unit, attempts, _, _) in list(
                         in_flight.items()
                     ):
                         del in_flight[future]
@@ -575,7 +568,7 @@ class CampaignExecutor:
                     # discarded because the future left in_flight).
                     now = self._now()
                     for future in list(in_flight):
-                        unit, attempts, t_start, lane, _ = in_flight[future]
+                        unit, attempts, t_start, _ = in_flight[future]
                         if now - t_start < cfg.timeout_s:
                             continue
                         del in_flight[future]
@@ -593,16 +586,12 @@ class CampaignExecutor:
                             queue.append((unit, attempts + 1))
                 if cfg.lane_dead_after_s is not None:
                     for future in list(in_flight):
-                        unit, attempts, t_start, lane, dispatched = in_flight[
-                            future
-                        ]
-                        if future.done() or not self._lane_is_dead(
-                            unit, lane, dispatched
-                        ):
+                        unit, attempts, _, lane = in_flight[future]
+                        if future.done() or not self._unit_is_dead(unit):
                             continue
                         del in_flight[future]
                         future.cancel()
-                        self._reap_lane(lane)
+                        self._reap_unit(unit)
                         status.lanes_reaped += 1
                         self._count("campaign_lanes_reaped")
                         self._emit_instant(
@@ -624,7 +613,7 @@ class CampaignExecutor:
         except KeyboardInterrupt:
             status.interrupted = True
             # Persist whatever already finished, drop the rest.
-            for future, (unit, attempts, t_start, lane, _) in list(
+            for future, (unit, attempts, t_start, lane) in list(
                 in_flight.items()
             ):
                 if future.done() and not future.cancelled():
@@ -688,7 +677,7 @@ class CampaignExecutor:
         # and lane supervision starts from a clean slate.
         try:
             self.store.reset_heartbeats()
-            self.store.reset_lane_beats()
+            self.store.reset_unit_beats()
         except OSError:  # pragma: no cover - disk-full / perms only
             pass
         status = CampaignRunStatus(total=len(units))
@@ -770,7 +759,6 @@ def run_campaign(
         store,
         config=cfg,
         telemetry=telemetry,
-        min_unit_wall_s=spec.min_unit_wall_s,
         checkpoint_every=spec.checkpoint_every,
     )
     status = executor.run(spec.expand())

@@ -203,11 +203,6 @@ class CampaignSpec:
     fault_scenario:
         Optional :mod:`repro.faults` scenario name; units then run with
         fault injection and resilience enabled.
-    min_unit_wall_s:
-        Pace each unit to at least this much *wall* time, emulating
-        campaigns whose workers block on real hardware. Execution-only:
-        does not enter run keys or results. Used by the throughput
-        benchmark and smoke tests.
     checkpoint_every:
         With a positive value, workers snapshot full simulation state
         every that many steps into the run store's ``checkpoints/``
@@ -227,7 +222,6 @@ class CampaignSpec:
     ranks: int = 1
     seeds: Sequence[int] = (0,)
     fault_scenario: Optional[str] = None
-    min_unit_wall_s: float = 0.0
     checkpoint_every: int = 0
     _canonical_policies: Tuple[Dict[str, Any], ...] = field(
         init=False, repr=False, compare=False, default=()
@@ -240,8 +234,6 @@ class CampaignSpec:
             raise ValueError("steps must be >= 1")
         if self.ranks < 1:
             raise ValueError("ranks must be >= 1")
-        if self.min_unit_wall_s < 0.0:
-            raise ValueError("min_unit_wall_s must be non-negative")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         if not self.workloads:
@@ -314,7 +306,7 @@ class CampaignSpec:
         known = {
             "name", "workloads", "policies", "clocks_mhz", "systems",
             "particles", "steps", "ranks", "seeds", "fault_scenario",
-            "min_unit_wall_s", "checkpoint_every",
+            "checkpoint_every",
         }
         unknown = set(data) - known
         if unknown:
@@ -349,8 +341,6 @@ class CampaignSpec:
             payload["clocks_mhz"] = [float(c) for c in self.clocks_mhz]
         if self.fault_scenario is not None:
             payload["fault_scenario"] = self.fault_scenario
-        if self.min_unit_wall_s:
-            payload["min_unit_wall_s"] = self.min_unit_wall_s
         if self.checkpoint_every:
             payload["checkpoint_every"] = int(self.checkpoint_every)
         return payload

@@ -43,7 +43,7 @@ TRACE_NAME = "trace.jsonl"
 HEARTBEATS_NAME = "heartbeats.json"
 RUNS_DIR = "runs"
 CHECKPOINTS_DIR = "checkpoints"
-LANES_DIR = "lanes"
+BEATS_DIR = "beats"
 TRACES_DIR = "traces"
 
 
@@ -199,47 +199,48 @@ class RunStore:
         except FileNotFoundError:
             pass
 
-    # -- worker lane beats -----------------------------------------------------
+    # -- unit beats -----------------------------------------------------------
 
-    def lane_beat_path(self, lane: int) -> Path:
-        """Where pool worker ``lane`` writes its per-step beat file.
+    def unit_beat_path(self, key: str) -> Path:
+        """Where the pool worker running unit ``key`` writes its beat.
 
         Unlike ``heartbeats.json`` (written by the executor between
-        dispatches), lane beat files are written *from inside* the
-        worker process after every simulation step, so the executor can
-        distinguish a lane that is slowly computing from one whose
-        process is hung or gone. The inline drain has no lanes to
-        supervise and writes none.
+        dispatches), beat files are written *from inside* the worker
+        process as the unit starts and after every simulation step, so
+        the executor can distinguish a unit that is slowly computing
+        from one whose process is hung or gone. One file per unit key:
+        a queued unit never reads a running unit's beat, and a reap
+        signals only the pid of the unit judged dead. The inline drain
+        has nothing to supervise and writes none.
         """
-        directory = self.root / LANES_DIR
-        directory.mkdir(exist_ok=True)
-        return directory / f"lane-{int(lane)}.json"
+        (self.root / BEATS_DIR).mkdir(exist_ok=True)
+        return self._beat_file(key)
 
-    def read_lane_beats(self) -> Dict[str, Dict[str, Any]]:
-        """Latest beat per lane ({} when no worker ever beat)."""
-        directory = self.root / LANES_DIR
-        if not directory.is_dir():
-            return {}
-        beats: Dict[str, Dict[str, Any]] = {}
-        for path in directory.glob("lane-*.json"):
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    payload = json.load(fh)
-            except (OSError, json.JSONDecodeError):
-                continue  # torn or vanished beat: treat as absent
-            beats[path.stem.removeprefix("lane-")] = payload
-        return beats
+    def _beat_file(self, key: str) -> Path:
+        return self.root / BEATS_DIR / f"{key}.json"
 
-    def reset_lane_beats(self) -> None:
+    def read_unit_beat(self, key: str) -> Dict[str, Any]:
+        """Latest beat of unit ``key`` ({} before its worker starts it)."""
+        try:
+            with open(self._beat_file(key), encoding="utf-8") as fh:
+                return json.load(fh)
+        except (OSError, json.JSONDecodeError):
+            return {}  # absent, torn or vanished beat
+
+    def clear_unit_beat(self, key: str) -> None:
+        """Drop unit ``key``'s beat (an earlier attempt's must not count)."""
+        try:
+            self._beat_file(key).unlink()
+        except FileNotFoundError:
+            pass
+
+    def reset_unit_beats(self) -> None:
         """Drop beat files from previous drains (fresh supervision)."""
-        directory = self.root / LANES_DIR
+        directory = self.root / BEATS_DIR
         if not directory.is_dir():
             return
-        for path in directory.glob("lane-*.json"):
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass
+        for path in directory.glob("*.json"):
+            self.clear_unit_beat(path.stem)
 
     def _load_manifest(self) -> None:
         path = self.manifest_path

@@ -118,9 +118,9 @@ def _metrics_of(result) -> Dict[str, Any]:
 
 
 def _write_beat(path: str, payload: Mapping[str, Any]) -> None:
-    """Atomically persist one worker-lane beat; never raises.
+    """Atomically persist one unit beat; never raises.
 
-    Beats are pure liveness evidence for the executor's lane
+    Beats are pure liveness evidence for the executor's pool
     supervision — losing one must not take the unit down.
     """
     tmp = f"{path}.tmp"
@@ -272,7 +272,6 @@ def execute_unit(
 
 def run_unit_safe(
     config: Mapping[str, Any],
-    min_wall_s: float = 0.0,
     checkpoint_path: Optional[str] = None,
     checkpoint_every: int = 0,
     beat_path: Optional[str] = None,
@@ -281,15 +280,13 @@ def run_unit_safe(
 ) -> Dict[str, Any]:
     """Pool entry point: execute one unit, never raise.
 
-    ``min_wall_s`` paces the unit to at least that much wall time,
-    emulating workers that block on real hardware (see
-    :attr:`~repro.campaign.spec.CampaignSpec.min_unit_wall_s`).
     ``checkpoint_path``/``checkpoint_every`` enable crash-tolerant
-    execution (see :func:`execute_unit`); ``beat_path`` names the lane
-    beat file a pool worker refreshes after every simulation step so
-    the executor's supervision can tell slow from dead (the inline
-    drain passes none: nothing supervises it). ``trace``/
-    ``trace_dir`` enable distributed tracing (see :func:`execute_unit`).
+    execution (see :func:`execute_unit`); ``beat_path`` names the unit's
+    beat file, which a pool worker writes as the unit starts and after
+    every simulation step so the executor's supervision can tell slow
+    from dead (the inline drain passes none: nothing supervises it).
+    ``trace``/``trace_dir`` enable distributed tracing (see
+    :func:`execute_unit`).
     """
     t0 = time.perf_counter()
     if checkpoint_path is not None:
@@ -308,6 +305,10 @@ def run_unit_safe(
                     "step": steps_done,
                 },
             )
+
+        # The start beat: a unit that hangs before its first step
+        # completes is still judged from a beat of its own.
+        on_step(0)
 
     try:
         result = execute_unit(
@@ -328,9 +329,6 @@ def run_unit_safe(
             },
             "wall_s": time.perf_counter() - t0,
         }
-    remaining = min_wall_s - (time.perf_counter() - t0)
-    if remaining > 0.0:
-        time.sleep(remaining)
     return {
         "ok": True,
         "result": result,

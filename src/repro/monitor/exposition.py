@@ -287,7 +287,6 @@ def parse_prometheus_text(text: str) -> Dict[str, Dict[str, object]]:
     declared family, or non-float values.
     """
     families: Dict[str, Dict[str, object]] = {}
-    current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
@@ -314,7 +313,6 @@ def parse_prometheus_text(text: str) -> Dict[str, Dict[str, object]]:
                             f"line {lineno}: unknown metric type {kind!r}"
                         )
                     fam["type"] = kind
-                    current = name
             # Other comments are legal and ignored.
             continue
         match = _SAMPLE_LINE.match(line)
@@ -339,7 +337,6 @@ def parse_prometheus_text(text: str) -> Dict[str, Dict[str, object]]:
     for name, fam in families.items():
         if fam["type"] is None:
             raise ValueError(f"family {name!r} has no # TYPE line")
-    _ = current
     return families
 
 

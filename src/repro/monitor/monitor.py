@@ -23,13 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional
 
-from .alerts import (
-    DEFAULT_STALL_AFTER_S,
-    Alert,
-    AlertEngine,
-    AlertRule,
-    default_rules,
-)
+from .alerts import Alert, AlertEngine, AlertRule, default_rules
 from .exposition import (
     MetricsServer,
     comm_gauges,
@@ -57,8 +51,6 @@ class MonitorConfig:
     gap_factor: float = 4.0
     #: Power-cap proximity rule threshold, as a fraction of the envelope.
     power_cap_frac: float = 0.95
-    #: Heartbeat age after which a campaign worker counts as stalled.
-    stall_after_s: float = DEFAULT_STALL_AFTER_S
     #: Extra rules installed alongside :func:`default_rules`.
     extra_rules: List[AlertRule] = field(default_factory=list)
 

@@ -1,26 +1,12 @@
 """Benchmark harness reporting utilities."""
 
 from .ascii_chart import bar_chart, line_chart, sparkline
-from .export import (
-    read_csv,
-    read_json,
-    read_jsonl,
-    write_csv,
-    write_json,
-    write_jsonl,
-)
 from .table import render_breakdown, render_series, render_table
 
 __all__ = [
     "bar_chart",
     "line_chart",
     "sparkline",
-    "read_csv",
-    "read_json",
-    "read_jsonl",
-    "write_csv",
-    "write_json",
-    "write_jsonl",
     "render_breakdown",
     "render_series",
     "render_table",

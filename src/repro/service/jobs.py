@@ -200,7 +200,6 @@ class CampaignJob:
                 self.store,
                 config=executor_config,
                 telemetry=telemetry,
-                min_unit_wall_s=self.spec.min_unit_wall_s,
                 on_event=self.bus.publish,
                 should_stop=lambda: self._cancel,
                 inflight=inflight,

@@ -12,10 +12,7 @@ from .neighbors import (
     NeighborList,
     find_neighbors,
     find_neighbors_bruteforce,
-    pair_displacements,
-    symmetric_pairs,
 )
-from .io import CheckpointMeta, load_checkpoint, save_checkpoint
 from .numeric import NumericProblem
 from .particles import DERIVED_FIELDS, PRIMARY_FIELDS, ParticleSet
 from .propagator import (
@@ -56,11 +53,6 @@ __all__ = [
     "NeighborList",
     "find_neighbors",
     "find_neighbors_bruteforce",
-    "pair_displacements",
-    "symmetric_pairs",
-    "CheckpointMeta",
-    "load_checkpoint",
-    "save_checkpoint",
     "NumericProblem",
     "DERIVED_FIELDS",
     "PRIMARY_FIELDS",

@@ -1,4 +1,4 @@
-"""Cornerstone-like SFC octree, domain decomposition and halos."""
+"""Cornerstone-like Morton keys, domain decomposition and halos."""
 
 from .domain import (
     DomainAssignment,
@@ -18,7 +18,6 @@ from .morton import (
     morton_decode,
     morton_encode,
 )
-from .octree import Octree, build_octree
 
 __all__ = [
     "DomainAssignment",
@@ -37,6 +36,4 @@ __all__ = [
     "key_at_level",
     "morton_decode",
     "morton_encode",
-    "Octree",
-    "build_octree",
 ]

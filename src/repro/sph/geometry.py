@@ -7,7 +7,7 @@ quantities: the directed index expansion ``(i_idx, j_idx)`` of the CSR
 neighbor list, the minimum-image displacements ``(dx, dy, dz)`` and the
 distances ``r``. Historically each kernel recomputed them from scratch
 (four ``np.repeat`` expansions and ``sqrt`` sweeps per step, plus two
-``symmetric_pairs`` closure scans); :class:`StepGeometry` computes them
+mirror-closure scans); :class:`StepGeometry` computes them
 **once** per step, right after FindNeighbors, and hands read-only views
 to every kernel.
 

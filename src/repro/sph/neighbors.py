@@ -215,56 +215,3 @@ def pairs_member_mask(
 def mirror_missing(i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
     """Mask of directed pairs whose mirror ``(j, i)`` is absent."""
     return ~pairs_member_mask(i_idx, j_idx, j_idx, i_idx)
-
-
-def symmetric_pairs(nlist: NeighborList) -> "tuple[np.ndarray, np.ndarray]":
-    """Directed pair arrays closed under reversal.
-
-    With adaptive smoothing lengths the gather lists are asymmetric:
-    ``j`` can be within the support of ``h_i`` while ``i`` is outside
-    the support of ``h_j``. Momentum-conserving force sums need every
-    such pair in *both* directions so action and reaction are both
-    accumulated; this helper appends the missing mirrored entries.
-
-    The step loop never builds this closure: its kernels read the
-    pairs plus :attr:`repro.sph.geometry.StepGeometry.missing_mirrors`,
-    scanned at most once per neighbor-geometry build.
-    """
-    n = nlist.n
-    i_idx = np.repeat(np.arange(n, dtype=np.int64), nlist.counts())
-    j_idx = np.asarray(nlist.neighbors, dtype=np.int64)
-    missing = mirror_missing(i_idx, j_idx)
-    if np.any(missing):
-        extra_i = j_idx[missing]
-        extra_j = i_idx[missing]
-        i_idx = np.concatenate([i_idx, extra_i])
-        j_idx = np.concatenate([j_idx, extra_j])
-    return i_idx, j_idx
-
-
-def pair_displacements(
-    particles: ParticleSet,
-    nlist: NeighborList,
-    box_size: Optional[float] = None,
-):
-    """Per-pair displacement vectors and distances (CSR-aligned).
-
-    Returns ``(dx, dy, dz, r, i_idx, j_idx)`` where each array has one
-    entry per directed neighbor pair and ``d* = x_i - x_j`` with the
-    minimum-image convention when periodic. Distances are clipped away
-    from zero to keep downstream divisions safe for coincident points.
-    """
-    i_idx = np.repeat(
-        np.arange(nlist.n, dtype=np.int64), nlist.counts()
-    )
-    j_idx = nlist.neighbors
-    dx = particles.x[i_idx] - particles.x[j_idx]
-    dy = particles.y[i_idx] - particles.y[j_idx]
-    dz = particles.z[i_idx] - particles.z[j_idx]
-    if box_size is not None:
-        dx -= box_size * np.round(dx / box_size)
-        dy -= box_size * np.round(dy / box_size)
-        dz -= box_size * np.round(dz / box_size)
-    r = np.sqrt(dx * dx + dy * dy + dz * dz)
-    r = np.maximum(r, 1e-300)
-    return dx, dy, dz, r, i_idx, j_idx

@@ -6,6 +6,9 @@ missing units, and the final aggregate report is **byte-identical** to
 the report of an uninterrupted campaign.
 """
 
+import multiprocessing
+import threading
+
 import pytest
 
 from repro.campaign import (
@@ -20,6 +23,7 @@ from repro.campaign import (
     summary_json,
 )
 from repro.campaign import executor as executor_mod
+from repro.campaign.worker import run_unit_safe
 from repro.faults import JobPreempted
 from repro.nvml.errors import (
     NVML_ERROR_GPU_IS_LOST,
@@ -125,6 +129,31 @@ def test_parallel_pool_matches_serial_results(tmp_path):
     )
 
 
+#: Set before a pool drain forks its workers, which inherit it.
+_BARRIER = None
+
+
+def _unit_at_barrier(config, *args, **kwargs):
+    """Pool entry point that runs a unit only once two are in progress."""
+    _BARRIER.wait()  # raises BrokenBarrierError when it times out
+    return run_unit_safe(config, *args, **kwargs)
+
+
+def test_pool_lanes_run_units_at_the_same_time(tmp_path, monkeypatch):
+    """Two units must meet at a cross-process barrier before either can
+    compute: only two pool lanes running at once get them both done."""
+    spec = _spec(policies=({"kind": "baseline"},), clocks_mhz=(), seeds=(0, 1))
+    monkeypatch.setitem(
+        globals(), "_BARRIER", multiprocessing.Barrier(2, timeout=10.0)
+    )
+    monkeypatch.setattr(executor_mod, "run_unit_safe", _unit_at_barrier)
+    store = RunStore(str(tmp_path), campaign=spec.name)
+    status = CampaignExecutor(store, ExecutorConfig(workers=2)).run(
+        spec.expand()
+    )
+    assert status.executed == 2 and status.failed == 0
+
+
 # ---------------------------------------------------------------------------
 # retries and failures (inline path, stubbed worker)
 # ---------------------------------------------------------------------------
@@ -133,7 +162,7 @@ def test_parallel_pool_matches_serial_results(tmp_path):
 def _stub_worker(outcomes):
     calls = {"n": 0}
 
-    def fake_run_unit_safe(config, min_wall_s=0.0, *args, **kwargs):
+    def fake_run_unit_safe(config, *args, **kwargs):
         outcome = outcomes[min(calls["n"], len(outcomes) - 1)]
         calls["n"] += 1
         return outcome
@@ -223,11 +252,11 @@ def test_keyboard_interrupt_drains_and_flags(tmp_path, monkeypatch):
     real = executor_mod.run_unit_safe
     calls = {"n": 0}
 
-    def interrupting(config, min_wall_s=0.0, *args, **kwargs):
+    def interrupting(config, *args, **kwargs):
         calls["n"] += 1
         if calls["n"] == 3:
             raise KeyboardInterrupt
-        return real(config, min_wall_s, *args, **kwargs)
+        return real(config, *args, **kwargs)
 
     monkeypatch.setattr(executor_mod, "run_unit_safe", interrupting)
     store = RunStore(str(tmp_path), campaign=spec.name)
@@ -434,19 +463,24 @@ def test_provenance_tracks_cached_vs_executed(tmp_path):
     assert counts == {"cached": 2, "executed": len(keys) - 2}
 
 
-def test_concurrent_campaigns_share_inflight_units(tmp_path):
+def test_concurrent_campaigns_share_inflight_units(tmp_path, unit_gate):
     """Two concurrent drains over one store never execute a key twice."""
-    import threading
-
     spec = _spec()
+    n = spec.n_units()
     store = RunStore(str(tmp_path), campaign=spec.name)
-    registry = executor_mod.InFlightRegistry()
+    claims = threading.Semaphore(0)
+
+    class CountingRegistry(executor_mod.InFlightRegistry):
+        def claim(self, key):
+            won = super().claim(key)
+            claims.release()
+            return won
+
+    registry = CountingRegistry()
     statuses = {}
 
     def drain(tag):
-        executor = CampaignExecutor(
-            store, inflight=registry, min_unit_wall_s=0.01
-        )
+        executor = CampaignExecutor(store, inflight=registry)
         statuses[tag] = executor.run(spec.expand())
 
     threads = [
@@ -454,10 +488,15 @@ def test_concurrent_campaigns_share_inflight_units(tmp_path):
     ]
     for t in threads:
         t.start()
+    # Both drains try to claim every key while the first unit is held
+    # open at the gate, so their claim passes overlap in-flight work.
+    for _ in range(2 * n):
+        assert claims.acquire(timeout=30.0)
+    unit_gate.open()
     for t in threads:
-        t.join()
+        t.join(timeout=60.0)
+        assert not t.is_alive()
 
-    n = spec.n_units()
     a, b = statuses["a"], statuses["b"]
     # Every unit computed exactly once across both drains...
     assert a.executed + b.executed == n

@@ -71,16 +71,20 @@ def test_store_checkpoint_helpers(tmp_path):
 
 def test_store_lane_beats_round_trip(tmp_path):
     store = RunStore(str(tmp_path), campaign="c")
-    assert store.read_lane_beats() == {}
+    assert store.read_unit_beat("u1") == {}
 
     beat = {"updated_s": 12.5, "pid": 41, "key": "u1", "step": 3}
-    store.lane_beat_path(0).write_text(json.dumps(beat))
-    store.lane_beat_path(1).write_text("{torn")  # tolerated, not fatal
-    beats = store.read_lane_beats()
-    assert beats == {"0": beat}
+    store.unit_beat_path("u1").write_text(json.dumps(beat))
+    store.unit_beat_path("u2").write_text("{torn")  # tolerated, not fatal
+    assert store.read_unit_beat("u1") == beat
+    assert store.read_unit_beat("u2") == {}
 
-    store.reset_lane_beats()
-    assert store.read_lane_beats() == {}
+    store.clear_unit_beat("u1")
+    assert store.read_unit_beat("u1") == {}
+    store.clear_unit_beat("u1")  # idempotent
+    store.unit_beat_path("u1").write_text(json.dumps(beat))
+    store.reset_unit_beats()
+    assert list((tmp_path / "beats").iterdir()) == []
 
 
 def test_executor_run_resets_stale_liveness(tmp_path):
@@ -88,23 +92,22 @@ def test_executor_run_resets_stale_liveness(tmp_path):
     next invocation (stale-heartbeat false alarms, ghost lane beats)."""
     store = RunStore(str(tmp_path), campaign="recov-t")
     store.write_heartbeats({"99": {"updated_s": 1.0, "state": "running"}})
-    store.lane_beat_path(99).write_text(json.dumps({"pid": 1, "key": "x"}))
+    store.unit_beat_path("x").write_text(json.dumps({"pid": 1, "key": "x"}))
 
     CampaignExecutor(store).run([])
 
     assert "99" not in store.read_heartbeats()
-    assert "99" not in store.read_lane_beats()
+    assert store.read_unit_beat("x") == {}
 
 
 def test_inline_drain_writes_no_lane_beats(tmp_path):
-    """Only pool-lane supervision reads lane beats, so the inline
-    drain writes none."""
+    """Only pool supervision reads unit beats, so the inline drain
+    writes none."""
     spec = _spec(seeds=(0, 1), checkpoint_every=0)
     store = RunStore(str(tmp_path), campaign=spec.name)
     status = CampaignExecutor(store).run(spec.expand())
     assert status.executed == 2
-    assert list(Path(tmp_path).rglob("lane-*.json")) == []
-    assert store.read_lane_beats() == {}
+    assert not (Path(tmp_path) / "beats").exists()
 
 
 def test_pool_drain_beats_every_lane(tmp_path):
@@ -114,13 +117,14 @@ def test_pool_drain_beats_every_lane(tmp_path):
         store, config=ExecutorConfig(workers=2)
     ).run(spec.expand())
     assert status.executed == 4
-    keys = {unit.key for unit in spec.expand()}
-    beats = store.read_lane_beats()
-    assert sorted(beats) == ["0", "1"]
-    for beat in beats.values():
+    pids = set()
+    for unit in spec.expand():
+        beat = store.read_unit_beat(unit.key)
         assert beat["pid"] != os.getpid()
-        assert beat["key"] in keys
+        assert beat["key"] == unit.key
         assert beat["step"] == spec.steps
+        pids.add(beat["pid"])
+    assert len(pids) <= 2  # two pool lanes ran the four units
 
 
 # ---------------------------------------------------------------------------
@@ -187,43 +191,67 @@ def _supervised(tmp_path, dead_after=10.0):
     return store, executor
 
 
+def _write_beat(store, unit, updated_s, pid=1, step=0, key=None):
+    store.unit_beat_path(unit.key).write_text(json.dumps({
+        "updated_s": updated_s, "pid": pid,
+        "key": unit.key if key is None else key, "step": step,
+    }))
+
+
 def test_lane_dead_verdicts(tmp_path):
     store, executor = _supervised(tmp_path)
     (unit,) = _spec().expand()
     now = time.time()
 
-    # No beat yet: the dispatch time anchors the grace period.
-    assert not executor._lane_is_dead(unit, 0, dispatched_wall=now)
-    assert executor._lane_is_dead(unit, 0, dispatched_wall=now - 60.0)
+    # No beat of its own: the unit has not started, so it is not dead,
+    # however long ago it was dispatched.
+    assert not executor._unit_is_dead(unit)
 
-    # A fresh beat for *this* unit vouches for the lane...
-    store.lane_beat_path(0).write_text(
-        json.dumps({"updated_s": now, "pid": 1, "key": unit.key, "step": 2})
-    )
-    assert not executor._lane_is_dead(unit, 0, dispatched_wall=now - 60.0)
+    # A fresh start beat vouches for the unit...
+    _write_beat(store, unit, now)
+    assert not executor._unit_is_dead(unit)
 
-    # ...a stale beat for this unit does not...
-    store.lane_beat_path(0).write_text(
-        json.dumps({"updated_s": now - 60.0, "pid": 1, "key": unit.key})
-    )
-    assert executor._lane_is_dead(unit, 0, dispatched_wall=now - 60.0)
+    # ...a stale start beat does not (a hang in the first step)...
+    _write_beat(store, unit, now - 60.0)
+    assert executor._unit_is_dead(unit)
 
-    # ...and a fresh beat left by the lane's *previous* occupant must
-    # not vouch for the current one.
-    store.lane_beat_path(0).write_text(
-        json.dumps({"updated_s": now, "pid": 1, "key": "other-unit"})
-    )
-    assert executor._lane_is_dead(unit, 0, dispatched_wall=now - 60.0)
+    # ...nor a stale step beat...
+    _write_beat(store, unit, now - 60.0, step=2)
+    assert executor._unit_is_dead(unit)
+
+    # ...and a beat carrying another key is not the unit's own.
+    _write_beat(store, unit, now - 60.0, key="other-unit")
+    assert not executor._unit_is_dead(unit)
+
+
+def test_queued_unit_sharing_a_lane_is_not_reaped(tmp_path, monkeypatch):
+    """A queued future shares its heartbeat lane with a running one: the
+    running unit's stale beat must neither condemn the queued unit nor
+    get its pid signalled on the queued unit's behalf."""
+    store, executor = _supervised(tmp_path)
+    running, queued = _spec(seeds=(0, 1)).expand()
+    executor._beat(0, "running", unit=running.label)
+    executor._beat(0, "running", unit=queued.label)
+    _write_beat(store, running, time.time() - 60.0, pid=4242, step=3)
+
+    signalled = []
+    monkeypatch.setattr(os, "kill", lambda pid, sig: signalled.append(pid))
+    assert not executor._unit_is_dead(queued)
+    executor._reap_unit(queued)
+    assert signalled == []
+
+    assert executor._unit_is_dead(running)
+    executor._reap_unit(running)
+    assert signalled == [4242]
 
 
 def test_reap_lane_sigterms_recorded_pid(tmp_path):
     store, executor = _supervised(tmp_path)
+    (unit,) = _spec().expand()
     proc = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
     try:
-        store.lane_beat_path(3).write_text(
-            json.dumps({"updated_s": time.time(), "pid": proc.pid, "key": "u"})
-        )
-        executor._reap_lane(3)
+        _write_beat(store, unit, time.time(), pid=proc.pid)
+        executor._reap_unit(unit)
         assert proc.wait(timeout=10) == -signal.SIGTERM
     finally:
         if proc.poll() is None:
@@ -232,7 +260,28 @@ def test_reap_lane_sigterms_recorded_pid(tmp_path):
 
 def test_reap_lane_without_pid_is_noop(tmp_path):
     _, executor = _supervised(tmp_path)
-    executor._reap_lane(0)  # no beat file at all: nothing to signal
+    (unit,) = _spec().expand()
+    executor._reap_unit(unit)  # no beat file at all: nothing to signal
+
+
+def test_supervision_spares_queued_units(tmp_path):
+    """Four ~0.8 s units on two lanes with a 0.6 s beat deadline: the
+    two queued units wait longer than the deadline before they start,
+    and every unit beats each step. Supervision must reap nothing."""
+    spec = _spec(
+        workloads=("SedovBlast",), particles=(2.0e5,), steps=1500,
+        seeds=(0, 1, 2, 3), checkpoint_every=0,
+    )
+    store = RunStore(str(tmp_path), campaign=spec.name)
+    status = CampaignExecutor(
+        store,
+        config=ExecutorConfig(
+            workers=2, lane_dead_after_s=0.6, max_retries=0
+        ),
+    ).run(spec.expand())
+    assert status.lanes_reaped == 0
+    assert status.failed == 0
+    assert status.executed == 4
 
 
 def test_poll_interval_tracks_supervision(tmp_path):
@@ -259,6 +308,7 @@ def test_sigkilled_worker_resumes_from_checkpoint(tmp_path):
     executor): the pool is rebuilt, the unit retries as transient, and
     the retry restores the on-disk checkpoint instead of step 0."""
     spec = _spec(steps=400, checkpoint_every=25)
+    (unit,) = spec.expand()
     store = RunStore(str(tmp_path), campaign=spec.name)
     executor = CampaignExecutor(
         store,
@@ -276,11 +326,8 @@ def test_sigkilled_worker_resumes_from_checkpoint(tmp_path):
     killed = False
     deadline = time.time() + 60.0
     while time.time() < deadline:
-        beats = store.read_lane_beats()
-        if store.checkpoint_keys() and beats:
-            pid = next(
-                (b.get("pid") for b in beats.values() if b.get("pid")), None
-            )
+        if store.checkpoint_keys():
+            pid = store.read_unit_beat(unit.key).get("pid")
             if pid and pid != os.getpid():
                 os.kill(int(pid), signal.SIGKILL)
                 killed = True

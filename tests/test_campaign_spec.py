@@ -51,10 +51,15 @@ def test_unit_keys_are_stable_across_expansions():
     assert len(set(first)) == len(first)
 
 
-def test_min_unit_wall_s_does_not_enter_keys():
-    plain = [u.key for u in _spec().expand()]
-    paced = [u.key for u in _spec(min_unit_wall_s=0.5).expand()]
-    assert plain == paced
+def test_min_unit_wall_s_is_rejected(tmp_path):
+    """The removed sleep-pacing knob is neither a field nor a spec key:
+    a saved spec that still carries it fails to load."""
+    with pytest.raises(TypeError):
+        _spec(min_unit_wall_s=0.5)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**_spec().to_dict(), "min_unit_wall_s": 0.5}))
+    with pytest.raises(ValueError, match="'min_unit_wall_s'"):
+        CampaignSpec.load(str(path))
 
 
 def test_renaming_campaign_changes_every_key():
@@ -151,9 +156,12 @@ def test_round_trip_preserves_grid(tmp_path):
 def test_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown campaign spec keys"):
         CampaignSpec.from_dict({"name": "t", "color": "red"})
-    # The removed rank-execution knob is an unknown key like any other.
+    # Removed knobs (rank execution, sleep pacing) are unknown keys like
+    # any other.
     with pytest.raises(ValueError, match="'comm_backend'"):
         CampaignSpec.from_dict({"name": "t", "comm_backend": "process"})
+    with pytest.raises(ValueError, match="'min_unit_wall_s'"):
+        CampaignSpec.from_dict({"name": "t", "min_unit_wall_s": 0.4})
 
 
 def test_from_dict_rejects_wrong_schema():

@@ -37,11 +37,7 @@ from repro.sph.init import (
 )
 from repro.sph.kernels_math import WendlandC6Kernel, default_kernel
 from repro.sph.numeric import MIN_SKIN, neighborhood_max
-from repro.sph.neighbors import (
-    mirror_missing,
-    pairs_member_mask,
-    symmetric_pairs,
-)
+from repro.sph.neighbors import mirror_missing, pairs_member_mask
 from repro.sph.physics import (
     ArtificialViscosity,
     TimestepControl,
@@ -932,10 +928,16 @@ class TestSymmetricPairsRegression:
         asymmetric = {(i, j) for (i, j) in directed if (j, i) not in directed}
         assert asymmetric
         closure = directed | {(j, i) for (i, j) in directed}
-        i_idx, j_idx = symmetric_pairs(nlist)
-        got = set(zip(i_idx.tolist(), j_idx.tolist()))
+        # The step loop's closure: the directed pairs plus the mirror of
+        # every pair whose reverse mirror_missing flags as absent.
+        i_idx = np.repeat(np.arange(nlist.n, dtype=np.int64), nlist.counts())
+        j_idx = np.asarray(nlist.neighbors, dtype=np.int64)
+        missing = mirror_missing(i_idx, j_idx)
+        got_i = np.concatenate([i_idx, j_idx[missing]])
+        got_j = np.concatenate([j_idx, i_idx[missing]])
+        got = set(zip(got_i.tolist(), got_j.tolist()))
         assert got == closure
-        assert len(i_idx) == len(closure)  # no duplicates introduced
+        assert len(got_i) == len(closure)  # no duplicates introduced
 
     def test_member_mask_no_overflow_on_huge_indices(self):
         """Indices above 2^31 take the lexsort path and must not wrap

@@ -9,15 +9,7 @@ from repro.langbench import (
     language_efficiency,
     nbody_reference_work,
 )
-from repro.reporting import (
-    read_csv,
-    read_json,
-    render_breakdown,
-    render_series,
-    render_table,
-    write_csv,
-    write_json,
-)
+from repro.reporting import render_breakdown, render_series, render_table
 from repro.units import (
     format_energy,
     format_frequency,
@@ -55,16 +47,6 @@ def test_render_breakdown_sorted():
     out = render_breakdown({"CPU": 10.0, "GPU": 75.0, "Other": 15.0})
     lines = out.splitlines()
     assert lines[2].startswith("GPU")
-
-
-def test_csv_json_roundtrip(tmp_path):
-    csv_path = str(tmp_path / "t.csv")
-    write_csv(csv_path, ["a", "b"], [[1, 2], [3, 4]])
-    rows = read_csv(csv_path)
-    assert rows[1]["b"] == "4"
-    json_path = str(tmp_path / "t.json")
-    write_json(json_path, {"x": [1, 2]})
-    assert read_json(json_path) == {"x": [1, 2]}
 
 
 def test_nbody_reference_work_positive_and_scales():

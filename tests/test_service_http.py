@@ -95,8 +95,8 @@ async def poll_until_terminal(server, cid, tenant=None, timeout=30.0):
 # ---------------------------------------------------------------------------
 
 
-def spec_doc(name="svc-t", policies=None, clocks=(1305.0,), min_wall=0.0):
-    doc = {
+def spec_doc(name="svc-t", policies=None, clocks=(1305.0,)):
+    return {
         "schema": 1,
         "kind": "campaign-spec",
         "name": name,
@@ -108,9 +108,6 @@ def spec_doc(name="svc-t", policies=None, clocks=(1305.0,), min_wall=0.0):
         "policies": policies or [{"kind": "baseline"}],
         "clocks_mhz": list(clocks),
     }
-    if min_wall:
-        doc["min_unit_wall_s"] = min_wall
-    return doc
 
 
 def run_scenario(tmp_path, scenario, **config_kwargs):
@@ -170,6 +167,13 @@ def test_invalid_submissions_get_400(tmp_path):
         )
         assert status == 400
         assert "comm_backend" in doc["error"]
+
+        status, _, doc = await request_json(
+            server, "POST", "/campaigns",
+            body={**spec_doc(), "min_unit_wall_s": 0.4},
+        )
+        assert status == 400
+        assert "min_unit_wall_s" in doc["error"]
 
         reader, writer = await asyncio.open_connection(
             server.host, server.port
@@ -288,18 +292,22 @@ def test_resubmit_completed_campaign_never_recomputes(tmp_path):
     run_scenario(tmp_path, scenario)
 
 
-def test_report_before_any_completed_run_is_409(tmp_path):
+def test_report_before_any_completed_run_is_409(tmp_path, unit_gate):
     async def scenario(service, server):
-        _, _, sub = await request_json(
-            server, "POST", "/campaigns",
-            body=spec_doc(name="slow", min_wall=5.0),
-        )
-        status, _, doc = await request_json(
-            server, "GET", f"/campaigns/{sub['id']}/report"
-        )
-        assert status == 409
-        assert "no completed runs" in doc["error"]
-        await request_json(server, "DELETE", f"/campaigns/{sub['id']}")
+        try:
+            _, _, sub = await request_json(
+                server, "POST", "/campaigns", body=spec_doc(name="slow")
+            )
+            # The unit has computed but is held open, unrecorded.
+            assert await asyncio.to_thread(unit_gate.wait_parked, 1)
+            status, _, doc = await request_json(
+                server, "GET", f"/campaigns/{sub['id']}/report"
+            )
+            assert status == 409
+            assert "no completed runs" in doc["error"]
+            await request_json(server, "DELETE", f"/campaigns/{sub['id']}")
+        finally:
+            unit_gate.open()
 
     run_scenario(tmp_path, scenario)
 
@@ -309,39 +317,44 @@ def test_report_before_any_completed_run_is_409(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_full_tenant_queue_answers_429_with_retry_after(tmp_path):
+def test_full_tenant_queue_answers_429_with_retry_after(
+    tmp_path, unit_gate
+):
     async def scenario(service, server):
         # The running campaign needs several units: cancellation is
         # cooperative and lands at the next unit boundary.
         specs = [
             spec_doc(
-                name=f"queue-{i}", min_wall=1.0,
+                name=f"queue-{i}",
                 policies=[{"kind": "baseline"}, {"kind": "static"},
                           {"kind": "dvfs"}],
             )
             for i in range(3)
         ]
-        _, _, running = await request_json(
-            server, "POST", "/campaigns", body=specs[0]
-        )
-        _, _, queued = await request_json(
-            server, "POST", "/campaigns", body=specs[1]
-        )
-        status, headers, doc = await request_json(
-            server, "POST", "/campaigns", body=specs[2]
-        )
-        assert status == 429
-        assert headers["retry-after"] == "1"
-        assert doc["retry_after_s"] == pytest.approx(0.5)
-        assert "queue is full" in doc["error"]
-
-        # Cancel both: the queued one drops, the running one stops at
-        # the next unit boundary.
-        for sub in (queued, running):
-            status, _, _ = await request_json(
-                server, "DELETE", f"/campaigns/{sub['id']}"
+        try:
+            _, _, running = await request_json(
+                server, "POST", "/campaigns", body=specs[0]
             )
-            assert status == 202
+            _, _, queued = await request_json(
+                server, "POST", "/campaigns", body=specs[1]
+            )
+            status, headers, doc = await request_json(
+                server, "POST", "/campaigns", body=specs[2]
+            )
+            assert status == 429
+            assert headers["retry-after"] == "1"
+            assert doc["retry_after_s"] == pytest.approx(0.5)
+            assert "queue is full" in doc["error"]
+
+            # Cancel both: the queued one drops, the running one stops
+            # at the next unit boundary once its held unit returns.
+            for sub in (queued, running):
+                status, _, _ = await request_json(
+                    server, "DELETE", f"/campaigns/{sub['id']}"
+                )
+                assert status == 202
+        finally:
+            unit_gate.open()
         assert (await poll_until_terminal(server, queued["id"]))[
             "state"] == "cancelled"
         assert (await poll_until_terminal(server, running["id"]))[
@@ -365,24 +378,30 @@ def test_full_tenant_queue_answers_429_with_retry_after(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_concurrent_overlapping_specs_share_units(tmp_path):
-    """Satellite: concurrent submissions of overlapping specs attach to
-    in-flight units instead of recomputing, with cache_hit provenance."""
+def test_concurrent_overlapping_specs_share_units(tmp_path, unit_gate):
+    """Concurrent submissions of overlapping specs attach to in-flight
+    units instead of recomputing, with cache_hit provenance."""
     # Same campaign name => overlapping unit keys; the baseline unit is
     # shared between both grids, dvfs/static are disjoint.
     doc_a = spec_doc(name="overlap",
                      policies=[{"kind": "baseline"}, {"kind": "static"}],
-                     clocks=(1005.0,), min_wall=0.3)
+                     clocks=(1005.0,))
     doc_b = spec_doc(name="overlap",
                      policies=[{"kind": "baseline"}, {"kind": "dvfs"}],
-                     clocks=(1005.0,), min_wall=0.3)
+                     clocks=(1005.0,))
 
     async def scenario(service, server):
-        (_, _, sub_a), (_, _, sub_b) = await asyncio.gather(
-            request_json(server, "POST", "/campaigns", body=doc_a),
-            request_json(server, "POST", "/campaigns", body=doc_b),
-        )
-        assert sub_a["id"] != sub_b["id"]
+        try:
+            (_, _, sub_a), (_, _, sub_b) = await asyncio.gather(
+                request_json(server, "POST", "/campaigns", body=doc_a),
+                request_json(server, "POST", "/campaigns", body=doc_b),
+            )
+            assert sub_a["id"] != sub_b["id"]
+            # Both campaigns hold a unit open: each claimed its keys
+            # while the other's were in flight.
+            assert await asyncio.to_thread(unit_gate.wait_parked, 2)
+        finally:
+            unit_gate.open()
         fin_a, fin_b = await asyncio.gather(
             poll_until_terminal(server, sub_a["id"]),
             poll_until_terminal(server, sub_b["id"]),

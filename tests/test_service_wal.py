@@ -210,9 +210,10 @@ def test_restart_resumes_job_recorded_as_running(tmp_path):
 
 
 def test_replay_skips_journaled_spec_with_removed_key(tmp_path):
-    """A WAL written by an older build may journal a spec carrying the
-    removed ``comm_backend`` key: replay counts it as a replay error
-    and still recovers the tenant's other jobs."""
+    """A WAL written by an older build may journal a spec carrying a
+    removed key (``comm_backend``, ``min_unit_wall_s``): replay counts
+    each as a replay error and still recovers the tenant's other
+    jobs."""
     root = tmp_path / "service-root"
 
     async def main():
@@ -226,15 +227,18 @@ def test_replay_skips_journaled_spec_with_removed_key(tmp_path):
         wal = JobWal(str(root / "tenants" / "alice" / JOB_WAL_NAME))
         legacy = {**spec_doc(name="legacy"), "comm_backend": "process"}
         wal.record_submit("c-legacy", "alice", legacy)
+        paced = {**spec_doc(name="paced"), "min_unit_wall_s": 0.4}
+        wal.record_submit("c-paced", "alice", paced)
 
         reborn = CampaignService(ServiceConfig(root=str(root)))
         await reborn.start()
         try:
             counter = reborn.metrics.counter("service_wal_replay_errors")
-            assert counter.value == 1.0
+            assert counter.value == 2.0
             assert reborn.recovered_ids == [job.id]
             assert reborn.job(job.id).state == "done"
             assert "c-legacy" not in reborn.jobs
+            assert "c-paced" not in reborn.jobs
         finally:
             await reborn.close()
 

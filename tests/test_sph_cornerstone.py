@@ -1,4 +1,4 @@
-"""Cornerstone substrate: Morton keys, octree, decomposition, halos."""
+"""Cornerstone substrate: Morton keys, decomposition, halos."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.sph.cornerstone import (
     MORTON_BITS,
     Box,
-    build_octree,
     decompose,
     discover_halos,
     key_at_level,
@@ -77,38 +76,6 @@ def test_key_at_level_bounds():
     with pytest.raises(ValueError):
         key_at_level(keys, 25)
     assert np.all(key_at_level(keys, 0) == 0)
-
-
-def test_octree_partitions_key_space():
-    x, y, z = _points(2000, seed=3)
-    keys = np.sort(morton_encode(x, y, z, UNIT))
-    tree = build_octree(keys, bucket_size=64)
-    tree.validate()
-    assert tree.counts.sum() == len(keys)
-    assert np.all(tree.counts <= 64)
-
-
-def test_octree_single_bucket_stays_root():
-    x, y, z = _points(10, seed=4)
-    keys = np.sort(morton_encode(x, y, z, UNIT))
-    tree = build_octree(keys, bucket_size=64)
-    assert tree.n_leaves == 1
-
-
-def test_octree_leaf_lookup():
-    x, y, z = _points(1000, seed=5)
-    keys = np.sort(morton_encode(x, y, z, UNIT))
-    tree = build_octree(keys, bucket_size=32)
-    leaves = tree.leaf_of_keys(keys)
-    assert np.all((0 <= leaves) & (leaves < tree.n_leaves))
-    # Counting keys per leaf reproduces tree.counts.
-    counted = np.bincount(leaves, minlength=tree.n_leaves)
-    assert np.array_equal(counted, tree.counts)
-
-
-def test_octree_unsorted_keys_rejected():
-    with pytest.raises(ValueError):
-        build_octree(np.array([5, 3, 1], dtype=np.uint64))
 
 
 def test_decompose_balances_counts():

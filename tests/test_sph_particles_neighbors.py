@@ -6,8 +6,8 @@ import pytest
 from repro.sph import (
     ParticleSet,
     find_neighbors,
+    StepGeometry,
     find_neighbors_bruteforce,
-    pair_displacements,
 )
 from repro.sph.init import TurbulenceConfig, make_turbulence
 
@@ -122,9 +122,12 @@ def test_pair_displacements_minimum_image():
         m=np.ones(2), h=np.full(2, 0.05), u=np.ones(2),
     )
     nlist = find_neighbors(p, box_size=1.0)
-    dx, dy, dz, r, i_idx, j_idx = pair_displacements(p, nlist, box_size=1.0)
-    assert np.all(r < 0.1)  # wrapped distance, not 0.96
-    assert np.all(np.abs(dx) < 0.1)
+    geom = StepGeometry.build(p, nlist, box_size=1.0)
+    assert geom.pairs.m == 2  # each particle sees the other across the wall
+    assert np.all(geom.r < 0.1)  # wrapped distance, not 0.96
+    assert np.all(np.abs(geom.dx) < 0.1)
+    # d = x_i - x_j: 0.02 - 0.98 wraps to +0.04 for i = 0.
+    assert geom.dx[geom.i_idx == 0] == pytest.approx(0.04)
 
 
 def _lattice(side=4, spacing=0.25, h=0.125):
